@@ -30,7 +30,7 @@ def test_scalability_of_the_campaign(benchmark, workloads):
 
 
 def test_scalability_of_the_campaign_through_the_engine(benchmark, workloads):
-    """Same campaign, batched through the engine with a 2-process worker pool."""
+    """Same campaign, batched through the engine."""
     with ParallelEvaluator(LiquidPlatform(), workers=2) as engine:
         result = benchmark.pedantic(
             scalability_study, args=(engine, workloads["frag"]), rounds=1, iterations=1)

@@ -12,7 +12,7 @@ Measures configs/sec of the measurement path on two sweep shapes:
   loop *is* the cost, and the broadcast path collapses it into a few
   array operations).
 
-The variants, one per kernel lane plus the engine paths:
+The variants, one per kernel lane plus the scalar baseline:
 
 * ``scalar`` -- the faithful per-configuration baseline: ``measure_many``
   with the unmemoised :meth:`TimingModel.evaluate_reference` per point
@@ -20,21 +20,12 @@ The variants, one per kernel lane plus the engine paths:
 * ``batched`` -- the sequential :meth:`LiquidPlatform.measure_sweep`
   broadcast path, still on the ``numpy`` replay lane;
 * ``crossconfig`` -- the same broadcast path on the default
-  cross-config lane (one rank-synchronous replay for the whole grid);
-* ``jit`` -- the Numba event-loop lane, recorded only when Numba is
-  importable on the host;
-* ``batched_arena`` -- ``measure_sweep`` through a
-  :class:`ParallelEvaluator` in the default adaptive-arena mode: the
-  publish cost model decides per batch whether shared-memory publishing
-  and worker fan-out pay for themselves, and small grids replay inline.
+  cross-config lane (one rank-synchronous replay for the whole grid).
 
-All variants must agree bit for bit at every scale, and the adaptive
-engine path must stay within noise of the sequential batched path
-(``ARENA_FLOOR``) -- the cost model exists precisely so the arena can
-never *lose* on grids too small to amortise it.  Wall-clock speedup
+All variants must agree bit for bit at every scale.  Wall-clock speedup
 floors only run at benchmark scale (``REPRO_BENCH_SMOKE=1`` keeps the
-equality, shared-memory-hygiene and arena-floor assertions), except the
-replay-bound lane microbench at the bottom, whose ≥``REPLAY_FLOOR``x
+equality assertions), except the replay-bound lane microbench at the
+bottom, whose ≥``REPLAY_FLOOR``x
 cross-config floor holds at smoke scale too and is what the CI
 perf-smoke job enforces.
 
@@ -43,7 +34,6 @@ trajectory of the sweep path is machine readable across PRs.
 """
 
 import contextlib
-import glob
 import itertools
 import json
 import os
@@ -52,22 +42,20 @@ import time
 
 from conftest import SMOKE, emit
 
-from repro.analysis import dcache_exhaustive, engine_report
+from repro.analysis import dcache_exhaustive
 from repro.config import (
     CACHE_SET_COUNTS,
     CACHE_SET_SIZES_KB,
     base_configuration,
 )
 from repro.config.leon_space import Multiplier
-from repro.engine import ParallelEvaluator, arena_available
+from repro.engine import ParallelEvaluator
 from repro.microarch.cache import CacheConfig, Replacement
 from repro.microarch.cachekernel import (
     KERNEL_LANE_ENV,
     LANE_CROSSCONFIG,
-    LANE_JIT,
     LANE_NUMPY,
     decode_trace,
-    jit_available,
     simulate_many,
 )
 from repro.microarch.timing import TimingModel
@@ -83,10 +71,6 @@ SPEEDUP_FLOOR = 5.0
 #: The cross-config lane's end-to-end floor on the geometry-dense
 #: Figure-2 grid (full scale; the committed trajectory targets ≥4x).
 CROSSCONFIG_GRID_FLOOR = 3.0
-#: The adaptive engine path may never fall below this fraction of the
-#: sequential batched path's throughput -- at ANY scale (the cost model
-#: is what makes this hold on grids too small to amortise publishing).
-ARENA_FLOOR = 0.95
 #: The cross-config lane's replay-only floor (microbench).  The committed
 #: full-scale trajectory holds the 3x bar; the smoke leg keeps a margin
 #: below it because the lane's stacked state arrays make it more
@@ -100,9 +84,9 @@ REPLAY_FLOOR = 2.5 if SMOKE else 3.0
 #: warmup); full scale stays single-shot, matching the historical
 #: methodology.
 REPS = 5 if SMOKE else 1
-#: Repetitions for the interleaved batched/arena pairs that feed the
-#: ``ARENA_FLOOR`` ratio: a single pair is one ~100ms sample of a
-#: drifting shared host, so even full scale takes the median of three.
+#: Repetitions for the interleaved lane pairs of the replay microbench: a
+#: single pair is one ~100ms sample of a drifting shared host, so even
+#: full scale takes the median of three.
 PAIR_REPS = max(REPS, 3)
 
 
@@ -181,48 +165,11 @@ def best_of(fn, reps=REPS):
     return result, seconds
 
 
-def run_arena_variant(workload, configs, linesizes, cold=True):
-    """One adaptive-engine sweep: returns (result, seconds, stats dict).
-
-    ``cold`` marks the first run against this workload instance: the
-    host pays one decode per (kind, linesize) group; repeat runs (the
-    smoke-scale best-of repetitions) find the views already cached on
-    the trace and must decode nothing at all.
-    """
-    with ParallelEvaluator(LiquidPlatform(), workers=2) as engine:
-        # spawn any long-lived engine state on an off-grid batch first, so a
-        # steady-state sweep is what gets timed (under the adaptive cost
-        # model a small warmup simply replays inline)
-        warmup = [base_configuration().replace(
-            dcache_sets=sets, dcache_setsize_kb=32 if SMOKE else 16,
-            dcache_replacement="lru") for sets in (2, 3)]
-        warmup = [c for c in warmup if engine.fits(c)]
-        engine.measure_sweep(workload, warmup)
-        result, seconds = timed(lambda: engine.measure_sweep(workload, configs))
-        stats = engine.stats.as_dict()
-        if arena_available():
-            # published and inline batches alike never decode in a worker,
-            # and the host decodes each (kind, linesize) group exactly once
-            # across the warmup + timed batches
-            assert engine.stats.worker_decodes == 0
-            assert engine.stats.host_decodes == (len(linesizes) if cold else 0)
-            if engine.stats.arena_skipped:
-                # the cost model ran the batches inline: nothing published,
-                # no pool fan-out
-                assert engine.stats.parallel_simulations == 0
-            else:
-                assert engine.stats.arena_segments > 0
-        emit(engine_report(engine))
-    return result, seconds, stats
-
-
-def run_variants(fresh_workload, configs):
-    """Measure the grid through every lane/path; returns (stats, timings)."""
+def run_variants(workload, configs):
+    """Measure the grid through every lane/path; returns the timings."""
     # the config-independent trace and its columnar decodes are shared by
-    # every variant in the real flow; pre-warm them for the sequential
-    # variants so the comparison times the measurement path, not trace
-    # generation
-    workload = fresh_workload()
+    # every variant in the real flow; pre-warm them so the comparison
+    # times the measurement path, not trace generation
     workload.trace()
     linesizes = {("icache", c.icache_linesize_words * 4) for c in configs}
     linesizes |= {("dcache", c.dcache_linesize_words * 4) for c in configs}
@@ -232,52 +179,16 @@ def run_variants(fresh_workload, configs):
     with per_config_reference_timing(), kernel_lane_env(LANE_NUMPY):
         scalar, scalar_seconds = timed(
             lambda: LiquidPlatform().measure_many(workload, configs))
+    with kernel_lane_env(LANE_NUMPY):
+        batched, batched_seconds = best_of(
+            lambda: LiquidPlatform().measure_sweep(workload, configs))
     with kernel_lane_env(LANE_CROSSCONFIG):
         cross, cross_seconds = best_of(
             lambda: LiquidPlatform().measure_sweep(workload, configs))
-    timings = {"scalar": scalar_seconds, "crossconfig": cross_seconds}
-    results = {"crossconfig": cross}
-    if jit_available():
-        with kernel_lane_env(LANE_JIT):
-            results["jit"], timings["jit"] = best_of(
-                lambda: LiquidPlatform().measure_sweep(workload, configs))
-
-    # the engine variant gets its own workload instance whose views are NOT
-    # pre-decoded: the timed sweep pays the real cold-sweep decode cost, and
-    # the decode accounting is exact.  The plain batched baseline and the
-    # engine reps run as interleaved pairs: the two sides of the
-    # ARENA_FLOOR assertion then sample the host's background load at the
-    # same moments, instead of phases seconds apart that a load spike can
-    # skew one-sidedly
-    arena_workload = fresh_workload()
-    arena_workload.trace()
-    batched_seconds = arena_seconds = None
-    pair_ratios = []
-    for rep in range(PAIR_REPS):
-        with kernel_lane_env(LANE_NUMPY):
-            batched, seconds = timed(
-                lambda: LiquidPlatform().measure_sweep(workload, configs))
-        assert batched == scalar, "batched sweep diverges from the scalar path"
-        batched_seconds = seconds if batched_seconds is None else min(
-            batched_seconds, seconds)
-        arena_result, arena_rep_seconds, stats = run_arena_variant(
-            arena_workload, configs, linesizes, cold=(rep == 0))
-        arena_seconds = arena_rep_seconds if arena_seconds is None else min(
-            arena_seconds, arena_rep_seconds)
-        # each rep's plain/engine pair ran back to back, so their ratio is
-        # taken under the same background load; the median over the pairs
-        # is what the ARENA_FLOOR asserts (a best-of/best-of quotient
-        # would compare two different moments of a drifting host)
-        pair_ratios.append(seconds / arena_rep_seconds)
-    results["batched"] = batched
-    timings["batched"] = batched_seconds
-    results["batched_arena"] = arena_result
-    timings["batched_arena"] = arena_seconds
-    arena_ratio = sorted(pair_ratios)[len(pair_ratios) // 2]
-
-    for variant, result in results.items():
-        assert result == scalar, f"{variant} sweep diverges from the scalar path"
-    return stats, timings, arena_ratio
+    assert batched == scalar, "batched sweep diverges from the scalar path"
+    assert cross == scalar, "crossconfig sweep diverges from the scalar path"
+    return {"scalar": scalar_seconds, "batched": batched_seconds,
+            "crossconfig": cross_seconds}
 
 
 def report(name, configs, timings):
@@ -287,13 +198,12 @@ def report(name, configs, timings):
             f"  {variant:<14} {seconds:8.3f}s  {len(configs) / seconds:10.1f} configs/sec")
     lines.append(
         f"  speedup batched {timings['scalar'] / timings['batched']:.2f}x, "
-        f"crossconfig {timings['scalar'] / timings['crossconfig']:.2f}x, "
-        f"arena {timings['scalar'] / timings['batched_arena']:.2f}x vs scalar")
+        f"crossconfig {timings['scalar'] / timings['crossconfig']:.2f}x vs scalar")
     print("\n".join(lines))
 
 
-def to_entry(configs, timings, stats=None, arena_ratio=None):
-    entry = {
+def to_entry(configs, timings):
+    return {
         "points": len(configs),
         "variants": {
             variant: {
@@ -305,18 +215,7 @@ def to_entry(configs, timings, stats=None, arena_ratio=None):
         "speedup_batched_vs_scalar": round(timings["scalar"] / timings["batched"], 2),
         "speedup_crossconfig_vs_scalar": round(
             timings["scalar"] / timings["crossconfig"], 2),
-        "speedup_arena_vs_scalar": round(
-            timings["scalar"] / timings["batched_arena"], 2),
-        "arena_vs_batched": round(
-            arena_ratio if arena_ratio is not None
-            else timings["batched"] / timings["batched_arena"], 2),
     }
-    if "jit" in timings:
-        entry["speedup_jit_vs_scalar"] = round(
-            timings["scalar"] / timings["jit"], 2)
-    if stats is not None:
-        entry["engine"] = stats
-    return entry
 
 
 def result_path():
@@ -337,50 +236,31 @@ def merge_payload(section, value):
 def test_sweep_throughput_trajectory():
     from repro.workloads import small_workloads, standard_workloads
 
-    def fresh_blastn():
-        source = small_workloads if SMOKE else standard_workloads
-        return source()["blastn"]
-
+    source = small_workloads if SMOKE else standard_workloads
+    workload = source()["blastn"]
     platform = LiquidPlatform()
-    shm_before = set(glob.glob("/dev/shm/psm_*"))
 
     fig2 = fig2_grid(platform)
-    fig2_stats, fig2_timings, fig2_ratio = run_variants(fresh_blastn, fig2)
+    fig2_timings = run_variants(workload, fig2)
     report("Figure-2 dcache grid (geometry-dense)", fig2, fig2_timings)
 
     pipeline = pipeline_grid(platform)
-    pipe_stats, pipe_timings, pipe_ratio = run_variants(fresh_blastn, pipeline)
+    pipe_timings = run_variants(workload, pipeline)
     report("Pipeline-parameter sweep (timing-dense)", pipeline, pipe_timings)
-
-    # no shared-memory segment survives the evaluators
-    leaked = set(glob.glob("/dev/shm/psm_*")) - shm_before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
     payload = {
         "smoke": SMOKE,
         "workload": "blastn",
-        "jit_available": jit_available(),
-        "figure2_grid": to_entry(fig2, fig2_timings, fig2_stats, fig2_ratio),
-        "pipeline_grid": to_entry(pipeline, pipe_timings, pipe_stats, pipe_ratio),
+        "figure2_grid": to_entry(fig2, fig2_timings),
+        "pipeline_grid": to_entry(pipeline, pipe_timings),
         "speedup_floor": SPEEDUP_FLOOR,
         "crossconfig_grid_floor": CROSSCONFIG_GRID_FLOOR,
-        "arena_floor": ARENA_FLOOR,
     }
     result_path().write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {result_path()}")
 
-    # the adaptive engine path may never lose to the sequential batched
-    # path -- at ANY scale; the cost model skips publishing exactly when
-    # a grid is too small for it to pay.  The asserted ratio is the
-    # median over the interleaved per-rep pairs, so both sides of every
-    # sample saw the same background load.
-    for name, ratio in (("figure2", fig2_ratio), ("pipeline", pipe_ratio)):
-        assert ratio >= ARENA_FLOOR, (
-            f"adaptive arena path on the {name} grid is {ratio:.2f}x the "
-            f"batched path, below the {ARENA_FLOOR}x floor")
-
     if SMOKE:
-        return  # CI smoke checks equality + hygiene; wall clock is meaningless
+        return  # CI smoke checks equality; wall clock is meaningless
     # the broadcast path must never lose to the per-config loop, even on the
     # geometry-dense grid where cache replay dominates ...
     assert fig2_timings["batched"] < fig2_timings["scalar"], (
@@ -436,7 +316,7 @@ def test_crossconfig_replay_microbench():
     # interleave the two lanes' repetitions so each speedup sample
     # compares wall clocks taken under the same background load, then
     # take the median ratio: one load spike spoils one pair, not the
-    # verdict (same estimator as the ARENA_FLOOR assertion)
+    # verdict
     per_config_seconds = crossconfig_seconds = None
     pair_ratios = []
     for _ in range(PAIR_REPS):
@@ -461,12 +341,6 @@ def test_crossconfig_replay_microbench():
         "speedup": round(speedup, 2),
         "floor": REPLAY_FLOOR,
     }
-    if jit_available():
-        _, jit_seconds = best_of(
-            lambda: simulate_many(view, configs, lane=LANE_JIT), reps=3)
-        entry["jit_seconds"] = round(jit_seconds, 4)
-        entry["jit_configs_per_sec"] = round(len(configs) / jit_seconds, 1)
-        assert simulate_many(view, configs, lane=LANE_JIT) == reference
 
     print(f"\nreplay microbench: {len(configs)} geometries x {accesses} accesses: "
           f"per-config {per_config_seconds:.3f}s, crossconfig "
@@ -481,7 +355,7 @@ def test_crossconfig_replay_microbench():
 def test_sweep_path_wired_into_figure2_driver(workloads):
     """The Figure-2 driver routes through measure_sweep and stays bit-identical."""
     workload = workloads["arith" if SMOKE else "blastn"]
-    with ParallelEvaluator(LiquidPlatform(), workers=2, arena=True) as engine:
+    with ParallelEvaluator(LiquidPlatform(), workers=2) as engine:
         swept = dcache_exhaustive(engine, workload)
         assert engine.stats.sweep_batches == 1
         assert engine.stats.sweep_evaluations == len(swept.data["rows"])

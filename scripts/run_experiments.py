@@ -5,14 +5,15 @@ This is the non-pytest entry point used to regenerate the numbers quoted
 in EXPERIMENTS.md; the pytest-benchmark harness in ``benchmarks/`` wraps
 the same drivers.
 
-The measurement layer runs through the evaluation engine: pass
-``--workers N`` to fan cache simulations out over N worker processes,
-``--store PATH`` to persist measurements (JSON-lines, or SQLite when the
-path ends in ``.sqlite``/``.db``; either makes a full reproduction
-resumable and shareable across runs), ``--profile`` to print per-stage
-wall-clock, ``--phases`` to add the phase-transition study (cold-start
-vs warm-chained per-phase miss rates of the multi-phase scenarios), or
-``--sequential`` to fall back to the bare platform.  Dense configuration
+The measurement layer runs through the evaluation engine, which
+deduplicates requests and replays cache simulations in-process in
+shared-decode groups: pass ``--store PATH`` to persist measurements
+(JSON-lines, or SQLite when the path ends in ``.sqlite``/``.db``;
+either makes a full reproduction resumable and shareable across runs),
+``--profile`` to print per-stage wall-clock, ``--phases`` to add the
+phase-transition study (cold-start vs warm-chained per-phase miss rates
+of the multi-phase scenarios), or ``--sequential`` to fall back to the
+bare platform.  Dense configuration
 grids (the Figure 2/4 sweeps) go through the broadcast-batched
 ``measure_sweep`` fast path by default; ``--no-sweep`` forces the
 per-configuration loop (the two are bit-identical).  Engine statistics
@@ -33,14 +34,14 @@ database's ``measurements`` table, bit-identical to a direct
 
 Resident service mode (``--serve``) turns the process into the
 always-on tuning service: ``POST /sweep`` and ``POST /tune`` jobs run
-on ONE supervised resident evaluator (pool respawn with backoff after
-worker crashes, graceful SIGTERM drain), repeat queries answer from the
+on ONE resident evaluator (graceful SIGTERM drain), repeat queries
+answer from the
 store by trace fingerprint, and with ``--grid-db`` sweep jobs become
 campaign rows drained cooperatively with any CLI ``--claim`` workers.
 
 Observability: ``--trace out.json`` records nested wall/CPU spans of
-every pipeline stage -- across the worker pool, with per-process lanes
--- and writes a Chrome trace-event file loadable in Perfetto
+every pipeline stage and writes a Chrome trace-event file loadable in
+Perfetto
 (``.jsonl`` writes raw span records instead); ``--profile`` adds the
 metrics-registry dump next to the per-stage wall-clock table.
 """
@@ -79,7 +80,9 @@ def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument(
         "--workers", type=int, default=os.cpu_count() or 1,
-        help="worker processes for parallel cache simulation (default: CPU count)")
+        help="worker budget reported by the engine (default: CPU count); it "
+             "selects no code path -- cache simulations always replay "
+             "in-process -- and is passed on to --claim workers and --serve")
     parser.add_argument(
         "--store", metavar="PATH", default=None,
         help="persistent result store; measurements found there are not re-simulated "
@@ -186,7 +189,7 @@ def parse_args() -> argparse.Namespace:
     service = parser.add_argument_group(
         "resident tuning service",
         "serve POST /sweep, POST /tune, GET /jobs/<id> and GET /metrics over "
-        "one resident supervised evaluator until SIGTERM")
+        "one resident evaluator until SIGTERM")
     service.add_argument(
         "--serve", action="store_true",
         help="run the always-on tuning service instead of the experiment "
@@ -199,12 +202,6 @@ def parse_args() -> argparse.Namespace:
     service.add_argument(
         "--port", type=int, default=8023,
         help="service port (default: 8023; 0 picks an ephemeral port)")
-    service.add_argument(
-        "--serve-arena", choices=("auto", "force", "off"), default="auto",
-        help="shared-memory trace arena policy for the resident evaluator "
-             "(auto: per-host cost model may answer small batches inline; "
-             "off: no arena but every eligible batch uses the pool -- the "
-             "deterministic choice the CI service job kills workers under)")
     args = parser.parse_args()
     if args.profile and args.sequential:
         parser.error("--profile requires the engine backend; drop --sequential")
@@ -228,13 +225,7 @@ def parse_args() -> argparse.Namespace:
 
 @contextlib.contextmanager
 def managed_backend(args: argparse.Namespace, *, with_store: bool = True):
-    """A measurement backend whose worker pool is always shut down on exit.
-
-    Engine backends own a process pool; leaking it to ``__del__`` keeps
-    workers alive until interpreter teardown, so every consumer goes
-    through this context manager (the evaluator-hygiene test asserts
-    the pool is gone afterwards).
-    """
+    """The measurement backend the flags ask for, closed on exit."""
     if args.sequential:
         yield LiquidPlatform()
         return
@@ -378,9 +369,7 @@ def main() -> None:
 
             serve(host=args.host, port=args.port, workers=args.workers,
                   scale=args.scale, store_path=args.store,
-                  grid_path=args.grid_db,
-                  arena={"auto": None, "force": True,
-                         "off": False}[args.serve_arena])
+                  grid_path=args.grid_db)
         elif args.grid_db:
             campaign_main(args)
         elif args.only == "fig2":

@@ -146,7 +146,7 @@ class OneFactorCampaign:
         """Run the campaign for several workloads as one concurrent batch.
 
         With a batch-capable backend the cache simulations of every
-        workload share one worker pool; with a plain platform this
+        workload are planned as one batch; with a plain platform this
         degrades to sequential per-workload runs.  Results are keyed by
         workload name; :attr:`records` afterwards holds the records of the
         *last* workload in iteration order (matching repeated :meth:`run`

@@ -569,13 +569,12 @@ class CampaignWorker:
 
     Parameters mirror the CLI: ``batch`` rows per claim, ``lease_seconds``
     before another worker may steal a silent claim, ``max_attempts``
-    per row before it rests in ``failed``, ``workers`` processes inside
-    this worker's own evaluator (default 1: the campaign process is the
-    unit of parallelism; raise it when one worker owns a whole machine),
-    and ``heartbeat_seconds`` between liveness upserts into the grid's
-    ``heartbeats`` table (0 disables them; a beat is also written at
-    loop entry and on exit so even instant drains leave a row for the
-    dashboard).
+    per row before it rests in ``failed``, ``workers`` the worker budget
+    of this worker's own evaluator (default 1: the campaign process is
+    the unit of parallelism), and ``heartbeat_seconds`` between liveness
+    upserts into the grid's ``heartbeats`` table (0 disables them; a
+    beat is also written at loop entry and on exit so even instant
+    drains leave a row for the dashboard).
     """
 
     def __init__(
@@ -633,7 +632,7 @@ class CampaignWorker:
     # -- lifecycle -------------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down an owned evaluator pool/arena (the grid stays open).
+        """Close an owned evaluator (the grid stays open).
 
         Injected evaluators belong to their supervisor/service and stay
         resident across many drains; closing is the owner's job.

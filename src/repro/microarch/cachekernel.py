@@ -47,10 +47,11 @@ batches concatenate to the single-shot batch) -- to replaying the
 concatenated trace in one shot, which ``tests/test_warm_replay.py``
 property-tests against the scalar warm oracle.
 
-**Kernel lanes.**  The set-associative replay has three interchangeable
+**Kernel lanes.**  The set-associative replay has two interchangeable
 implementations, selected by the ``REPRO_KERNEL_LANE`` environment
-variable (or an explicit ``lane=`` argument) and all bit-identical to
-the scalar reference:
+variable (or an explicit ``lane=`` argument) and both meant to be
+bit-identical to the scalar reference (a known cross-config LRU defect
+is pinned by a strict ``xfail`` in ``tests/test_crossconfig_replay.py``):
 
 * ``crossconfig`` (default) -- :func:`simulate_many` merges every
   associative configuration of a batch into one rank-synchronous pass
@@ -64,10 +65,10 @@ the scalar reference:
 * ``numpy`` -- the per-configuration rank-synchronous replay (the
   pre-cross-config behaviour; also what single :func:`replay` calls
   use regardless of lane).
-* ``jit`` -- a Numba-compiled per-set event loop
-  (:func:`_replay_events_loop`).  Numba is optional: when it cannot be
-  imported (or compilation fails) the lane silently resolves back to
-  the default NumPy lane, which :func:`kernel_lane` makes auditable.
+
+:func:`_replay_events_loop` is a third, plain-Python formulation (one
+scalar step per run-compressed event) that the property tests hold to
+the same scalar oracle.
 """
 
 from __future__ import annotations
@@ -88,12 +89,10 @@ __all__ = [
     "KERNEL_LANE_ENV",
     "KernelState",
     "LANE_CROSSCONFIG",
-    "LANE_JIT",
     "LANE_NUMPY",
     "PhaseReplay",
     "decode_trace",
     "fresh_state",
-    "jit_available",
     "kernel_lane",
     "replay",
     "replay_chain",
@@ -108,9 +107,7 @@ KERNEL_LANE_ENV = "REPRO_KERNEL_LANE"
 LANE_NUMPY = "numpy"
 #: Batched rank-synchronous replay shared across a whole config group.
 LANE_CROSSCONFIG = "crossconfig"
-#: Numba-compiled per-set event loop (optional; falls back to the default).
-LANE_JIT = "jit"
-_LANES = (LANE_NUMPY, LANE_CROSSCONFIG, LANE_JIT)
+_LANES = (LANE_NUMPY, LANE_CROSSCONFIG)
 DEFAULT_LANE = LANE_CROSSCONFIG
 
 
@@ -267,27 +264,16 @@ def kernel_lane(requested: Optional[str] = None) -> str:
 
     ``requested`` overrides the :data:`KERNEL_LANE_ENV` environment
     variable; an empty/unset value means the default
-    (:data:`LANE_CROSSCONFIG`).  Requesting :data:`LANE_JIT` when Numba
-    is unavailable resolves to the default lane instead of failing --
-    the returned value is therefore what will actually run, which
-    :class:`~repro.engine.backend.EngineStats` records as
-    ``kernel_lane`` for auditability.
+    (:data:`LANE_CROSSCONFIG`).  The returned value is what will
+    actually run, which :class:`~repro.engine.backend.EngineStats`
+    records as ``kernel_lane`` for auditability.
     """
     lane = requested if requested is not None else os.environ.get(KERNEL_LANE_ENV, "")
     lane = (lane or DEFAULT_LANE).strip().lower()
-    if lane == "numba":  # convenience alias
-        lane = LANE_JIT
     if lane not in _LANES:
         raise ConfigurationError(
             f"unknown kernel lane {lane!r}; choose one of {sorted(_LANES)}")
-    if lane == LANE_JIT and _jit_loop() is None:
-        return DEFAULT_LANE
     return lane
-
-
-def jit_available() -> bool:
-    """True when the Numba-compiled event loop can actually run."""
-    return _jit_loop() is not None
 
 
 def replay(
@@ -295,8 +281,6 @@ def replay(
     config: CacheConfig,
     state: Optional[KernelState] = None,
     rng: Optional[np.random.Generator] = None,
-    *,
-    lane: Optional[str] = None,
 ) -> CacheStatistics:
     """Replay a decoded trace against one geometry, mutating ``state``.
 
@@ -305,10 +289,8 @@ def replay(
     :class:`~repro.microarch.cache.Cache` would do.  Passing the state of
     a previous replay continues against the warm cache (its own ``rng``
     keeps the RANDOM victim stream in step); an explicit ``rng`` argument
-    overrides the state's generator.  ``lane`` picks the set-associative
-    implementation (see :func:`kernel_lane`); for a single replay the
-    cross-config lane has nothing to share and behaves like the NumPy
-    lane.
+    overrides the state's generator.  A single replay has nothing to
+    share across configurations, so every lane replays it the same way.
     """
     if view.linesize_bytes != config.linesize_bytes:
         raise ConfigurationError(
@@ -327,9 +309,6 @@ def replay(
         return CacheStatistics(0, 0, 0, 0, 0)
     if config.ways == 1:
         read_misses, write_misses = _replay_direct_mapped(view, config, state)
-    elif kernel_lane(lane) == LANE_JIT:
-        read_misses, write_misses = _replay_set_associative_events(
-            view, config, state, random_victims)
     else:
         read_misses, write_misses = _replay_set_associative(
             view, config, state, random_victims)
@@ -377,9 +356,9 @@ def simulate_many(
                     results[i] = statistics
                 for i, config in enumerate(configs):
                     if results[i] is None:
-                        results[i] = replay(view, config, lane=resolved)
+                        results[i] = replay(view, config)
                 return results
-        return [replay(view, config, lane=resolved) for config in configs]
+        return [replay(view, config) for config in configs]
 
 
 def replay_chain(
@@ -1007,19 +986,16 @@ def replay_many_associative(
     return statistics, states
 
 
-# -- JIT lane: per-set event loop --------------------------------------------------------
+# -- per-event reference loop ------------------------------------------------------------
 
 
 def _replay_events_loop(set_index, tag, first_read, last_pos, w_pre, has_read,
                         tags, age, fifo, random_victims, tick0, ways, policy):
     """Scalar per-event replay over a set-grouped :class:`_SetView`.
 
-    Written in the Numba-compilable subset (plain loops, scalar branches,
-    in-place ndarray mutation) and kept importable without Numba: this
-    exact function object is what :func:`_jit_loop` hands to
-    ``numba.njit``, and it is also directly runnable as plain Python,
-    which the property tests use to pin the lane's semantics on hosts
-    without Numba.
+    One plain loop step per run-compressed event, mutating the state
+    arrays in place: the event-level counterpart of the per-access
+    scalar reference, to which the property tests hold it.
     """
     read_misses = 0
     write_misses = 0
@@ -1065,39 +1041,15 @@ def _replay_events_loop(set_index, tag, first_read, last_pos, w_pre, has_read,
     return read_misses, write_misses
 
 
-#: Lazily-resolved compiled loop: ``None`` = not tried, ``False`` = unavailable.
-_JIT_LOOP = None
-
-
-def _jit_loop():
-    global _JIT_LOOP
-    if _JIT_LOOP is None:
-        try:
-            from numba import njit
-
-            _JIT_LOOP = njit(cache=True, nogil=True)(_replay_events_loop)
-        except Exception:
-            _JIT_LOOP = False
-    return _JIT_LOOP if _JIT_LOOP else None
-
-
 def _replay_set_associative_events(
     view: ColumnarTrace,
     config: CacheConfig,
     state: KernelState,
     random_victims: np.ndarray,
-    loop=None,
 ) -> Tuple[int, int]:
-    """JIT-lane replay: run the per-set event loop over the set view.
-
-    ``loop`` defaults to the compiled loop (plain Python as a last
-    resort); the tests pass :func:`_replay_events_loop` explicitly to
-    exercise the lane's semantics without Numba.
-    """
-    if loop is None:
-        loop = _jit_loop() or _replay_events_loop
+    """Replay one geometry through :func:`_replay_events_loop`."""
     sv = view.set_view(config.lines_per_way)
-    read_misses, write_misses = loop(
+    read_misses, write_misses = _replay_events_loop(
         sv.set_index, sv.tag, sv.first_read, sv.last_pos, sv.w_pre, sv.has_read,
         state.tags, state.age, state.fifo, random_victims,
         state.tick + 1, config.ways, _policy_code(config.replacement))

@@ -2,7 +2,7 @@
 
 The registry is the engine's single metrics surface: ad-hoc accounting
 (:class:`~repro.engine.backend.EngineStats` fields, stage wall-clock,
-arena publish/attach sizes, campaign claim shapes) all lands here, so
+store lock retries, campaign claim shapes) all lands here, so
 one :meth:`MetricsRegistry.snapshot` call answers "what has this engine
 done" uniformly for the ``--profile`` dump, the experiment tables and
 the campaign heartbeats.
@@ -15,12 +15,11 @@ Three metric kinds:
 * :class:`Histogram` -- streaming count/total/min/max of observations
   (``observe``), summarised without storing samples.
 
-Cross-process collection mirrors the tracer: worker processes observe
-into their process-local registry (:func:`get_registry`),
-:meth:`MetricsRegistry.drain` the typed deltas at task boundaries, ship
-them home inside task results, and the host folds them in with
-:meth:`MetricsRegistry.merge` -- counters add, gauges last-write-wins,
-histograms merge their summaries.  Everything is plain data and cheap:
+Registries compose: layers without an engine reference observe into
+the process registry (:func:`get_registry`), whose typed deltas
+:meth:`MetricsRegistry.drain` hands to an engine at batch end, which
+folds them in with :meth:`MetricsRegistry.merge` -- counters add,
+gauges last-write-wins, histograms merge their summaries.  Everything is plain data and cheap:
 an observation is one dict lookup and a few float ops.
 """
 
@@ -95,7 +94,7 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def merge_summary(self, summary: Dict[str, Any]) -> None:
-        """Fold another histogram's summary (e.g. a worker's) into this one."""
+        """Fold another histogram's summary into this one."""
         if not summary.get("count"):
             return
         self.count += summary["count"]
@@ -121,7 +120,7 @@ _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 class MetricsRegistry:
-    """Named metrics with get-or-create access and worker delta merging."""
+    """Named metrics with get-or-create access and delta merging."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, _Metric] = {}
@@ -160,9 +159,8 @@ class MetricsRegistry:
     def drain(self) -> Dict[str, Dict[str, Any]]:
         """Typed deltas since the last drain; counters/histograms reset.
 
-        The worker-side half of cross-process metrics: the returned
-        mapping is picklable and feeds :meth:`merge` on the host.
-        Gauges report their current value and are not reset (last write
+        The returned mapping is plain data and feeds :meth:`merge` on
+        another registry.  Gauges report their current value and are not reset (last write
         wins on the host too).
         """
         deltas: Dict[str, Dict[str, Any]] = {}
@@ -207,10 +205,10 @@ class MetricsRegistry:
         return "\n".join(lines)
 
 
-#: The process registry: instrumentation that has no better home (arena
-#: attach in worker processes, store lock retries) observes here; worker
-#: deltas are drained at task boundaries and merged into the owning
-#: engine's :class:`~repro.engine.backend.EngineStats` registry.
+#: The process registry: instrumentation that has no better home (store
+#: lock retries) observes here; its deltas are drained at batch end and
+#: merged into the owning engine's
+#: :class:`~repro.engine.backend.EngineStats` registry.
 _REGISTRY = MetricsRegistry()
 
 
@@ -220,7 +218,7 @@ def get_registry() -> MetricsRegistry:
 
 
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the process registry (tests, worker init)."""
+    """Install ``registry`` as the process registry (tests)."""
     global _REGISTRY
     _REGISTRY = registry
     return registry

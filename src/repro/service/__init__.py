@@ -3,10 +3,10 @@
 The paper's method is a batch pipeline -- trace once, sweep
 configurations, solve -- but serving that evaluation to heavy repeat
 traffic needs a process that stays up: one resident
-:class:`~repro.engine.parallel.ParallelEvaluator` (supervised by an
-:class:`~repro.engine.supervisor.EvaluatorSupervisor`) with the trace
-arena attached, the platform memos warm and the persistent store
-answering repeat queries by trace fingerprint, so a sweep a million
+:class:`~repro.engine.parallel.ParallelEvaluator` (started, stopped and
+drained on SIGTERM by an :class:`~repro.service.server.EvaluatorSupervisor`)
+with the platform memos and decoded trace views warm and the persistent
+store answering repeat queries by trace fingerprint, so a sweep a million
 users re-submit costs one evaluation.
 
 Three modules:
@@ -26,7 +26,14 @@ adds no dependency.
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import Job, JobManager
-from repro.service.server import TuningService, figure2_grid, make_server, serve
+from repro.service.server import (
+    EvaluatorSupervisor,
+    SupervisorStopped,
+    TuningService,
+    figure2_grid,
+    make_server,
+    serve,
+)
 
 __all__ = [
     "Job",

@@ -2,9 +2,9 @@
 
 One executor thread drains a FIFO of submitted jobs against the single
 resident evaluator -- serialising jobs is deliberate: the engine already
-parallelises *inside* a job (worker pool, broadcast-batched sweeps), and
-two jobs interleaving on one pool would only fight over the same cores
-while wrecking the per-job accounting the service reports.
+batches *inside* a job (shared decodes, broadcast-batched sweeps), and
+two jobs interleaving on one evaluator would only fight over the same
+cores while wrecking the per-job accounting the service reports.
 
 Jobs are plain state machines (``queued -> running -> done | failed``)
 whose mutations all happen under the manager lock, so HTTP handler

@@ -1,7 +1,7 @@
 """The always-on tuning service: HTTP jobs over one resident engine.
 
 :class:`TuningService` is the HTTP-free application object -- it owns
-the resident platform, the persistent store, the supervised evaluator
+the resident platform, the persistent store, the resident evaluator
 and the job queue, and can be driven directly from tests without a
 socket.  The thin stdlib HTTP layer (:func:`make_server`, built on
 ``ThreadingHTTPServer``) maps five routes onto it:
@@ -14,13 +14,12 @@ socket.  The thin stdlib HTTP layer (:func:`make_server`, built on
   results: a long sweep streams its finished batches before the job is
   done.
 * ``GET /metrics`` -- engine statistics, the full metrics registry,
-  supervisor health and job counts in one JSON document.
+  the supervisor's lifecycle state and job counts in one JSON document.
 * ``GET /healthz`` -- liveness.
 
 Repeat traffic is the point: the service keeps ONE
-:class:`~repro.engine.supervisor.EvaluatorSupervisor` (hence one
-worker pool, one shared-memory arena, one store, warm platform memos)
-across every job, and results are keyed by trace fingerprint +
+:class:`EvaluatorSupervisor` (hence one evaluator, one store, warm
+platform memos and decoded trace views) across every job, and results are keyed by trace fingerprint +
 configuration + platform context in the store -- so re-submitting an
 identical sweep answers from the store with zero new evaluations, bit
 for bit identical to the first answer *and* to a direct
@@ -39,8 +38,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import signal
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.config import (
     CACHE_SET_COUNTS,
@@ -57,19 +57,27 @@ from repro.core.weights import (
     Weights,
 )
 from repro.engine.campaign import CampaignGrid, CampaignWorker
+from repro.engine.parallel import ParallelEvaluator
 from repro.engine.store import (
     ResultStore,
     ResultStoreBase,
     SqliteResultStore,
     open_store,
 )
-from repro.engine.supervisor import EvaluatorSupervisor
 from repro.platform.liquid import LiquidPlatform
+from repro.platform.measurement import Measurement
 from repro.service.jobs import Job, JobManager
 from repro.workloads import small_workloads, standard_workloads
 from repro.workloads.base import Workload
 
-__all__ = ["TuningService", "figure2_grid", "make_server", "serve"]
+__all__ = [
+    "EvaluatorSupervisor",
+    "SupervisorStopped",
+    "TuningService",
+    "figure2_grid",
+    "make_server",
+    "serve",
+]
 
 #: Named weight presets accepted by ``POST /tune`` payloads.
 _WEIGHT_PRESETS = {
@@ -98,14 +106,159 @@ class ServiceBadRequest(ValueError):
     """A malformed job payload (mapped to HTTP 400)."""
 
 
+class SupervisorStopped(RuntimeError):
+    """An evaluation was requested outside start()/stop()."""
+
+
+class EvaluatorSupervisor:
+    """The service's resident :class:`ParallelEvaluator` with a lifecycle.
+
+    * explicit :meth:`start` / :meth:`stop` replace the per-run context
+      manager (both idempotent; a stopped supervisor can be started
+      again and keeps its warm evaluator);
+    * :meth:`install_signal_handlers` wires SIGTERM (and optionally
+      SIGINT) to a graceful drain: the handler only flips
+      :attr:`stop_requested` and invokes the caller's callback, so the
+      serving loop finishes in-flight work before :meth:`stop` runs;
+    * every measurement method delegates to the evaluator and raises
+      :class:`SupervisorStopped` outside start/stop, so the tuner and
+      the campaign worker take a supervisor wherever they took an
+      evaluator.
+    """
+
+    def __init__(
+        self,
+        platform: Optional[LiquidPlatform] = None,
+        *,
+        workers: Optional[int] = None,
+        store: Optional[ResultStoreBase] = None,
+    ):
+        self.evaluator = ParallelEvaluator(
+            platform or LiquidPlatform(), workers=workers, store=store)
+        self.running = False
+        #: Flipped by the installed signal handler; serving loops poll it.
+        self.stop_requested = False
+
+    # -- lifecycle -------------------------------------------------------------------------
+
+    def start(self) -> "EvaluatorSupervisor":
+        """Bring the resident evaluator up (idempotent)."""
+        self.running = True
+        self.stop_requested = False
+        return self
+
+    def stop(self) -> None:
+        """Stop serving evaluations (idempotent)."""
+        self.running = False
+        self.evaluator.close()
+
+    def __enter__(self) -> "EvaluatorSupervisor":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    def request_stop(self) -> None:
+        """Flag a graceful stop (thread/signal safe; loops poll the flag)."""
+        self.stop_requested = True
+
+    def install_signal_handlers(
+        self,
+        callback: Optional[Callable[[], None]] = None,
+        *,
+        signals: Sequence[int] = (signal.SIGTERM,),
+    ) -> None:
+        """Route SIGTERM (by default) into a graceful drain.
+
+        The handler only flips :attr:`stop_requested` and invokes
+        ``callback`` (which must itself be handler-safe: set a flag or
+        an event, never block -- ``HTTPServer.shutdown`` for example
+        *waits* for the serve loop and deadlocks if that loop runs on
+        the signalled thread): in-flight evaluations finish, the
+        serving loop notices the flag, and the *owner* calls
+        :meth:`stop`.  Nothing is killed mid-batch.
+        """
+
+        def handle(signum, frame):  # pragma: no cover - exercised via CLI
+            self.request_stop()
+            if callback is not None:
+                callback()
+
+        for signum in signals:
+            signal.signal(signum, handle)
+
+    def snapshot(self) -> Dict[str, Any]:
+        """Lifecycle state for the service ``/metrics`` endpoint."""
+        return {"running": self.running, "stop_requested": self.stop_requested}
+
+    # -- EvaluationBackend delegation ------------------------------------------------------
+
+    def _require_running(self) -> ParallelEvaluator:
+        if not self.running:
+            raise SupervisorStopped(
+                "supervisor is not running; call start() before evaluating")
+        return self.evaluator
+
+    @property
+    def platform(self) -> LiquidPlatform:
+        return self.evaluator.platform
+
+    @property
+    def store(self) -> Optional[ResultStoreBase]:
+        return self.evaluator.store
+
+    @property
+    def stats(self):
+        return self.evaluator.stats
+
+    @property
+    def device(self):
+        return self.evaluator.device
+
+    def build(self, config: Configuration):
+        return self._require_running().build(config)
+
+    def profile(self, workload: Workload, config: Configuration):
+        return self._require_running().profile(workload, config)
+
+    def fits(self, config: Configuration) -> bool:
+        return self._require_running().fits(config)
+
+    def effort(self) -> Dict[str, int]:
+        return self.evaluator.effort()
+
+    def measure(self, workload: Workload, config: Configuration) -> Measurement:
+        return self._require_running().measure(workload, config)
+
+    def measure_many(
+        self, workload: Workload, configs: Sequence[Configuration]
+    ) -> List[Measurement]:
+        return self._require_running().measure_many(workload, configs)
+
+    def measure_many_multi(self, batches) -> Dict[Workload, List[Measurement]]:
+        return self._require_running().measure_many_multi(batches)
+
+    def measure_sweep(
+        self, workload: Workload, configs: Sequence[Configuration]
+    ) -> List[Measurement]:
+        return self._require_running().measure_sweep(workload, configs)
+
+    def measure_phases(self, workload, configs: Sequence[Configuration]) -> List:
+        return self._require_running().measure_phases(workload, configs)
+
+    def close(self) -> None:
+        """Alias for :meth:`stop` (consumers holding a bare evaluator call it)."""
+        self.stop()
+
+
 class TuningService:
     """The resident application object behind the HTTP routes.
 
     Parameters
     ----------
     workers:
-        Worker processes of the resident evaluator (default: evaluator's
-        own default).
+        Worker budget of the resident evaluator (default: the
+        evaluator's own default).
     scale:
         Workload registry served: ``"standard"`` (benchmark traces) or
         ``"small"`` (quick smoke traces; the test/CI default).
@@ -120,10 +273,6 @@ class TuningService:
     sweep_chunk:
         Configurations per evaluation batch of a direct (non-grid)
         sweep job; smaller chunks stream results sooner.
-    arena:
-        Forwarded to the evaluator (``None`` probes shared memory and
-        applies the adaptive publish cost model; tests pass ``False``
-        to force every batch through the worker pool deterministically).
     """
 
     def __init__(
@@ -134,9 +283,7 @@ class TuningService:
         store_path: Optional[str] = None,
         grid_path: Optional[str] = None,
         platform: Optional[LiquidPlatform] = None,
-        max_restarts: int = 5,
         sweep_chunk: int = 16,
-        arena: Optional[bool] = None,
     ):
         if scale not in ("standard", "small"):
             raise ValueError(f"unknown workload scale: {scale!r}")
@@ -155,8 +302,7 @@ class TuningService:
             store = ResultStore()
         self.store = store
         self.supervisor = EvaluatorSupervisor(
-            self.platform, workers=workers, store=store, arena=arena,
-            max_restarts=max_restarts)
+            self.platform, workers=workers, store=store)
         self.workloads: Dict[str, Workload] = (
             small_workloads() if scale == "small" else standard_workloads())
         self.space = leon_parameter_space()
@@ -286,16 +432,11 @@ class TuningService:
             # pure re-read -- and if a foreign worker still holds a row,
             # evaluating it here is deterministic duplicate work, never
             # wrong data
-        encoded = []
         for start in range(0, len(configs), self.sweep_chunk):
             chunk = configs[start:start + self.sweep_chunk]
             measurements = self.supervisor.measure_sweep(workload, chunk)
-            records = [self.store.encode(workload, m) for m in measurements]
-            encoded.extend(records)
-            self.jobs.append_results(job, records)
-        self.jobs.annotate(
-            job, pool_breaks=self.supervisor.stats.pool_breaks,
-            supervisor_restarts=self.supervisor.stats.supervisor_restarts)
+            self.jobs.append_results(
+                job, [self.store.encode(workload, m) for m in measurements])
 
     def _drain_grid(
         self, job: Job, workload: Workload, configs: Sequence[Configuration]
@@ -439,7 +580,6 @@ def serve(
     scale: str = "small",
     store_path: Optional[str] = None,
     grid_path: Optional[str] = None,
-    arena: Optional[bool] = None,
     install_signals: bool = True,
     announce=print,
 ) -> None:
@@ -450,21 +590,18 @@ def serve(
     only flips that flag (``HTTPServer.shutdown`` *waits* for the serve
     loop and would deadlock called from a handler on the serving
     thread), so shutdown is: flag flips -> main thread stops the accept
-    loop -> queued jobs finish -> the resident evaluator closes with
-    its workers joined.
+    loop -> queued jobs finish -> the resident evaluator stops.
     """
     import threading
     import time as _time
 
     service = TuningService(
         workers=workers, scale=scale, store_path=store_path,
-        grid_path=grid_path, arena=arena)
+        grid_path=grid_path)
     httpd = make_server(service, host=host, port=port)
     if install_signals:
-        import signal as _signal
-
         service.supervisor.install_signal_handlers(
-            signals=(_signal.SIGTERM, _signal.SIGINT))
+            signals=(signal.SIGTERM, signal.SIGINT))
     service.start()
     announce(f"tuning service on http://{httpd.server_address[0]}:"
              f"{httpd.server_address[1]} "

@@ -1,26 +1,25 @@
-"""Bit-identity of the cross-config and JIT replay lanes, and the arena cost model.
+"""Bit-identity of the cross-config replay lane and the per-event loop.
 
-The round-3 kernel lanes must be indistinguishable from the scalar
-reference loop (``Cache.simulate(vectorized=False)``) in every
-observable: hit/miss statistics field for field, the final tag/age/FIFO
-state of every configuration in a merged batch, the replay tick, and the
-position of each configuration's seeded RANDOM victim stream.  The
-hypothesis suites below drive the shared randomized geometries/traces
-from ``conftest`` through:
+The kernel lanes must be indistinguishable from the scalar reference
+loop (``Cache.simulate(vectorized=False)``) in every observable:
+hit/miss statistics field for field, the final tag/age/FIFO state of
+every configuration in a merged batch, the replay tick, and the position
+of each configuration's seeded RANDOM victim stream.  The hypothesis
+suites below drive the shared randomized geometries/traces from
+``conftest`` through:
 
 * :func:`~repro.microarch.cachekernel.replay_many_associative` -- the
   rank-synchronous cross-config lane, on mixed-geometry batches;
-* the JIT event loop (:func:`~repro.microarch.cachekernel._replay_events_loop`)
-  run as plain Python, which pins the lane's semantics on hosts without
-  Numba -- CI runs the same tests with Numba installed, where the
-  identical function object is what gets compiled;
+* the plain-Python per-event loop
+  (:func:`~repro.microarch.cachekernel._replay_events_loop`);
 * :func:`~repro.microarch.cachekernel.simulate_many` under every lane
   selection, including the ``REPRO_KERNEL_LANE`` environment knob.
 
-The arena tests pin the adaptive publish cost model: skip decisions may
-change *where* a batch replays (inline versus pooled, published or not)
-but never *what* it measures.
+One known cross-config defect on long LRU traces is pinned by a strict
+``xfail`` below until it is fixed.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,12 +29,6 @@ from conftest import SET_ASSOCIATIVE_WAYS, to_arrays, trace_strategy
 
 from repro.config import Replacement
 from repro.engine import ParallelEvaluator
-from repro.engine.arena import (
-    ARENA_THRESHOLD_ENV,
-    DEFAULT_PUBLISH_THRESHOLD,
-    publish_threshold,
-    publish_worthwhile,
-)
 from repro.errors import ConfigurationError
 from repro.microarch import cachekernel
 from repro.microarch.cache import Cache, CacheConfig
@@ -43,17 +36,15 @@ from repro.microarch.cachekernel import (
     DEFAULT_LANE,
     KERNEL_LANE_ENV,
     LANE_CROSSCONFIG,
-    LANE_JIT,
     LANE_NUMPY,
     decode_trace,
-    jit_available,
     kernel_lane,
     replay,
     replay_many_associative,
     simulate_many,
 )
 from repro.platform import LiquidPlatform
-from repro.workloads import ArithWorkload
+from repro.workloads import ArithWorkload, DrrWorkload
 
 
 def config_batch_strategy(min_size=2, max_size=5, ways=SET_ASSOCIATIVE_WAYS):
@@ -90,26 +81,6 @@ def assert_state_matches_oracle(state, cache):
     np.testing.assert_array_equal(state.fifo, cache._fifo)
     assert state.tick == cache._tick
     assert state.rng.bit_generator.state == cache._rng.bit_generator.state
-
-
-class _plain_jit_loop:
-    """Context manager forcing the JIT lane to run the plain-Python loop.
-
-    Hosts without Numba resolve ``lane="jit"`` to the default lane; the
-    tests instead install :func:`cachekernel._replay_events_loop` as the
-    "compiled" loop so the full JIT dispatch path runs everywhere.  When
-    Numba *is* available (the CI leg) the real compiled loop is left in
-    place -- same function, compiled.
-    """
-
-    def __enter__(self):
-        self._saved = cachekernel._JIT_LOOP
-        if not jit_available():
-            cachekernel._JIT_LOOP = cachekernel._replay_events_loop
-        return self
-
-    def __exit__(self, *exc_info):
-        cachekernel._JIT_LOOP = self._saved
 
 
 # -- cross-config merged replay ----------------------------------------------------------
@@ -173,7 +144,7 @@ def test_crossconfig_batch_matches_per_config_replay(configs, trace):
     merged_stats, merged_states = replay_many_associative(view, configs)
     for config, stat, state in zip(configs, merged_stats, merged_states):
         solo_state = cachekernel.fresh_state(config)
-        solo_stat = replay(view, config, state=solo_state, lane=LANE_NUMPY)
+        solo_stat = replay(view, config, state=solo_state)
         assert stat == solo_stat
         np.testing.assert_array_equal(state.tags, solo_state.tags)
         np.testing.assert_array_equal(state.age, solo_state.age)
@@ -212,29 +183,28 @@ def test_crossconfig_empty_trace_yields_cold_states():
        trace=trace_strategy(max_size=250))
 @settings(max_examples=25, deadline=None)
 def test_simulate_many_identical_across_all_lanes(configs, trace):
-    """numpy, crossconfig and jit lanes agree on mixed direct/associative batches."""
+    """numpy and crossconfig lanes agree on mixed direct/associative batches."""
     addresses, writes = to_arrays(trace)
     view = decode_trace(addresses, writes,
                         linesize_bytes=configs[0].linesize_bytes)
 
     reference = simulate_many(view, configs, lane=LANE_NUMPY)
     assert simulate_many(view, configs, lane=LANE_CROSSCONFIG) == reference
-    with _plain_jit_loop():
-        assert simulate_many(view, configs, lane=LANE_JIT) == reference
 
 
 @given(configs=config_batch_strategy(min_size=2, max_size=3),
        trace=trace_strategy(max_size=200))
 @settings(max_examples=20, deadline=None)
-def test_jit_event_loop_matches_scalar_oracle(configs, trace):
-    """The (Numba-compilable) event loop is bit-identical, state included."""
+def test_event_loop_matches_scalar_oracle(configs, trace):
+    """The per-event loop is bit-identical, state included."""
     addresses, writes = to_arrays(trace)
     view = decode_trace(addresses, writes,
                         linesize_bytes=configs[0].linesize_bytes)
-    with _plain_jit_loop():
+    with mock.patch.object(cachekernel, "_replay_set_associative",
+                           cachekernel._replay_set_associative_events):
         for config in configs:
             state = cachekernel.fresh_state(config)
-            stats = replay(view, config, state=state, lane=LANE_JIT)
+            stats = replay(view, config, state=state)
             ref_stats, ref_cache = scalar_oracle(config, addresses, writes)
             assert stats == ref_stats
             assert_state_matches_oracle(state, ref_cache)
@@ -257,24 +227,10 @@ class TestKernelLaneResolution:
         monkeypatch.delenv(KERNEL_LANE_ENV, raising=False)
         assert kernel_lane(" NumPy ") == LANE_NUMPY
 
-    def test_numba_is_an_alias_for_jit(self):
-        with _plain_jit_loop():
-            assert kernel_lane("numba") == LANE_JIT
-            assert kernel_lane("jit") == LANE_JIT
-
     def test_unknown_lane_raises(self):
-        with pytest.raises(ConfigurationError):
-            kernel_lane("vulkan")
-
-    def test_jit_falls_back_to_default_when_unavailable(self, monkeypatch):
-        monkeypatch.setattr(cachekernel, "_JIT_LOOP", False)
-        assert not jit_available()
-        assert kernel_lane(LANE_JIT) == DEFAULT_LANE
-
-    def test_jit_resolves_when_available(self):
-        with _plain_jit_loop():
-            assert jit_available()
-            assert kernel_lane(LANE_JIT) == LANE_JIT
+        for lane in ("vulkan", "jit", "numba"):
+            with pytest.raises(ConfigurationError):
+                kernel_lane(lane)
 
     def test_environment_drives_simulate_many(self, monkeypatch):
         """The env knob reaches the dispatch itself, not just the resolver."""
@@ -289,84 +245,45 @@ class TestKernelLaneResolution:
         assert simulate_many(view, configs) == reference
 
 
-# -- adaptive arena cost model -----------------------------------------------------------
-
-class TestPublishCostModel:
-    def test_default_threshold(self, monkeypatch):
-        monkeypatch.delenv(ARENA_THRESHOLD_ENV, raising=False)
-        assert publish_threshold() == DEFAULT_PUBLISH_THRESHOLD
-
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv(ARENA_THRESHOLD_ENV, "1024")
-        assert publish_threshold() == 1024
-
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ARENA_THRESHOLD_ENV, "1024")
-        assert publish_threshold(2048) == 2048
-
-    def test_product_rule(self, monkeypatch):
-        monkeypatch.delenv(ARENA_THRESHOLD_ENV, raising=False)
-        assert publish_worthwhile(1000, 10, threshold=10_000)
-        assert not publish_worthwhile(1000, 9, threshold=10_000)
-        assert not publish_worthwhile(1000, 0, threshold=10_000)
-
-    def test_non_positive_threshold_always_publishes(self):
-        assert publish_worthwhile(0, 0, threshold=0)
-        assert publish_worthwhile(1, 1, threshold=-5)
-
-
-class TestArenaSkipEquivalence:
-    """Skip decisions change the execution shape, never the measurements."""
-
-    def _configs(self):
+    def test_kernel_lane_recorded_in_stats(self):
         from repro.config import base_configuration
 
         base = base_configuration()
-        return [
+        configs = [
             base.replace(dcache_sets=2, dcache_replacement=Replacement.RANDOM),
             base.replace(dcache_sets=2, dcache_replacement=Replacement.LRR),
             base.replace(dcache_sets=4, dcache_replacement=Replacement.LRU),
             base.replace(dcache_sets=3, dcache_setsize_kb=2),
         ]
-
-    def test_skipped_batch_identical_to_published_and_plain_pool(self):
-        workload = ArithWorkload(iterations=120)
-        configs = self._configs()
-        reference = LiquidPlatform().measure_many(workload, configs)
-
-        # adaptive mode with an unreachable threshold: every batch skips
-        with ParallelEvaluator(LiquidPlatform(), workers=2,
-                               arena_threshold=1 << 62) as skipping:
-            assert skipping.measure_many(workload, configs) == reference
-            assert skipping.stats.arena_skipped > 0
-            assert skipping.stats.parallel_simulations == 0  # ran inline
-            assert skipping.stats.arena_segments == 0  # nothing published
-
-        # adaptive mode pinned to always-publish: pooled, zero-copy views
-        with ParallelEvaluator(LiquidPlatform(), workers=2,
-                               arena_threshold=0) as publishing:
-            assert publishing.measure_many(workload, configs) == reference
-            assert publishing.stats.arena_skipped == 0
-
-        # explicit arena=False: pooled without publishing, never skips
-        with ParallelEvaluator(LiquidPlatform(), workers=2,
-                               arena=False) as plain:
-            assert plain.measure_many(workload, configs) == reference
-            assert plain.stats.arena_skipped == 0
-            assert plain.stats.arena_segments == 0
-
-    def test_forced_arena_never_skips(self):
-        workload = ArithWorkload(iterations=120)
-        configs = self._configs()
-        reference = LiquidPlatform().measure_many(workload, configs)
-        with ParallelEvaluator(LiquidPlatform(), workers=2, arena=True,
-                               arena_threshold=1 << 62) as engine:
-            assert engine.measure_many(workload, configs) == reference
-            assert engine.stats.arena_skipped == 0
-
-    def test_kernel_lane_recorded_in_stats(self):
         workload = ArithWorkload(iterations=120)
         with ParallelEvaluator(LiquidPlatform(), workers=1) as engine:
-            engine.measure_many(workload, self._configs())
+            engine.measure_many(workload, configs)
             assert engine.stats.kernel_lane == kernel_lane()
             assert engine.stats.as_dict()["kernel_lane"] == kernel_lane()
+
+
+# -- known defect ------------------------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: the cross-config lane miscounts LRU misses when two "
+    "LRU geometries share one merged batch"))
+def test_crossconfig_lru_pair_matches_per_config_replay():
+    """Two LRU geometries batched together must replay as they do alone.
+
+    On the DRR dcache view at 16-byte lines the merged cross-config
+    replay of ``[4-way x 2 KB LRU, 2-way x 1 KB LRU]`` reports more
+    read misses than the numpy lane and than each configuration alone:
+    696/728 against 695/726 at the small scale used here, and
+    9212/10479 against 9208/10473 at the standard scale.
+    """
+    view = DrrWorkload(packet_count=200).columnar_view("dcache", 16)
+    configs = [
+        CacheConfig(ways=4, setsize_kb=2, linesize_words=4,
+                    replacement=Replacement.LRU),
+        CacheConfig(ways=2, setsize_kb=1, linesize_words=4,
+                    replacement=Replacement.LRU),
+    ]
+    alone = [simulate_many(view, [config], lane=LANE_CROSSCONFIG)[0]
+             for config in configs]
+    assert simulate_many(view, configs, lane=LANE_NUMPY) == alone
+    assert simulate_many(view, configs, lane=LANE_CROSSCONFIG) == alone

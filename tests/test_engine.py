@@ -1,9 +1,9 @@
 """Engine equivalence suite: batched/parallel/store-backed == sequential.
 
 The hard guarantee of the evaluation engine is that *how* a measurement
-is obtained -- one at a time, batched, deduplicated, fanned out over
-worker processes, or loaded back from a persistent store -- never changes
-*what* is measured.  Every test here compares engine output against the
+is obtained -- one at a time, batched, deduplicated, replayed in
+shared-decode groups, or loaded back from a persistent store -- never
+changes *what* is measured.  Every test here compares engine output against the
 sequential :class:`LiquidPlatform` reference bit-for-bit (dataclass
 equality covers cycle counts, cache hit/miss statistics including the
 seeded RANDOM replacement, resource reports and the full cycle
@@ -11,7 +11,6 @@ breakdown), across all four paper workloads.
 """
 
 import ast
-import gc
 import pathlib
 
 import pytest
@@ -82,14 +81,12 @@ class TestBatching:
 class TestParallelEquivalence:
     def test_parallel_batch_identical_to_sequential(self, base_config, small_workload_map):
         configs = variant_configs(base_config)
-        # arena_threshold=0 pins the adaptive cost model to "always publish"
-        # so this test keeps exercising the pooled path on tiny batches
-        engine = ParallelEvaluator(workers=2, arena_threshold=0)
+        engine = ParallelEvaluator(workers=2)
         for name, workload in small_workload_map.items():
             sequential = LiquidPlatform().measure_many(workload, configs)
             parallel = engine.measure_many(workload, configs)
             assert parallel == sequential, f"engine diverged on workload {name}"
-        assert engine.stats.parallel_simulations > 0
+        assert engine.stats.cache_simulations > 0
         assert engine.stats.dedup_hits == len(small_workload_map)
 
     def test_multi_workload_batch_identical_to_sequential(self, base_config,
@@ -278,7 +275,7 @@ class TestStaleness:
         assert slow_reader.stats.store_hits == 1
 
     def test_worker_pool_tracks_trace_changes_of_same_named_workloads(self, base_config):
-        """Re-measuring under a reused pool must not replay a stale trace."""
+        """Re-measuring on a reused evaluator must not replay a stale trace."""
         engine = ParallelEvaluator(workers=2)
         first = ArithWorkload(iterations=60)
         engine.measure_many(first, [base_config, base_config.replace(dcache_sets=2)])
@@ -287,82 +284,32 @@ class TestStaleness:
         batch = [base_config,                   # overlaps the first workload's configs
                  base_config.replace(dcache_sets=4),
                  base_config.replace(dcache_setsize_kb=16)]
-        through_pool = engine.measure_many(second, batch)
+        reused = engine.measure_many(second, batch)
         sequential = LiquidPlatform().measure_many(second, batch)
-        assert through_pool == sequential
+        assert reused == sequential
         engine.close()
 
 
 class TestEvaluatorHygiene:
-    """Worker pools are shut down deterministically, never left to __del__."""
-
-    def test_context_manager_shuts_down_the_pool(self, base_config, arith_small):
-        configs = [base_config, base_config.replace(dcache_sets=2),
-                   base_config.replace(dcache_setsize_kb=8)]
-        with ParallelEvaluator(workers=2) as engine:
-            engine.measure_many(arith_small, configs)
-            pool = engine._pool
-        assert engine._pool is None, "exiting the context must shut the pool down"
-        if pool is not None:  # pool may be absent where process spawning is blocked
-            assert pool._shutdown_thread or pool._processes is not None
+    """Evaluators are context-managed and stay usable across close()."""
 
     def test_close_is_idempotent_and_evaluator_stays_usable(self, base_config,
                                                             arith_small):
         engine = ParallelEvaluator(workers=2)
         engine.close()
         engine.close()
-        # a closed evaluator restarts lazily instead of failing
+        # a closed evaluator keeps answering instead of failing
         measurement = engine.measure(arith_small, base_config)
         engine.close()
         assert measurement == LiquidPlatform().measure(arith_small, base_config)
 
-    def test_gc_finalizer_never_joins_workers(self):
-        """A collected evaluator must not block on pool shutdown.
-
-        ``shutdown(wait=True)`` from ``__del__`` can hang interpreter
-        teardown on a wedged worker; the finalizer must always pass
-        ``wait=False`` (explicit ``close()`` keeps waiting, below).
-        """
-
-        class RecordingPool:
-            calls = []  # survives the evaluator's collection
-
-            def shutdown(self, wait=True):
-                RecordingPool.calls.append(wait)
-
-        RecordingPool.calls = []
-        engine = ParallelEvaluator(workers=2)
-        engine._pool = RecordingPool()
-        del engine
-        gc.collect()
-        assert RecordingPool.calls == [False], \
-            "the finalizer joined (or never shut down) the worker pool"
-
-    def test_explicit_close_still_joins_workers(self):
-        class RecordingPool:
-            def __init__(self):
-                self.calls = []
-
-            def shutdown(self, wait=True):
-                self.calls.append(wait)
-
-        engine = ParallelEvaluator(workers=2)
-        pool = RecordingPool()
-        engine._pool = pool
-        engine.close()
-        assert pool.calls == [True]
-        engine._pool = pool
-        engine.close(wait=False)
-        assert pool.calls == [True, False]
-
     def test_scripts_and_benchmarks_context_manage_every_evaluator(self):
         """Every ParallelEvaluator in scripts/ and benchmarks/ is a `with` item.
 
-        Relying on ``__del__`` keeps worker processes alive until
-        interpreter teardown; this source-level guard fails when a new
-        script or benchmark constructs an evaluator outside a ``with``
-        statement (or the ``managed_backend`` helper, which itself uses
-        one).
+        This source-level guard fails when a new script or benchmark
+        constructs an evaluator outside a ``with`` statement (or the
+        ``managed_backend`` helper, which itself uses one), so whatever
+        an evaluator owns is released deterministically.
         """
         root = pathlib.Path(__file__).resolve().parent.parent
         offenders = []
@@ -381,8 +328,8 @@ class TestEvaluatorHygiene:
                             and id(node) not in managed):
                         offenders.append(f"{path.name}:{node.lineno}")
         assert not offenders, (
-            "ParallelEvaluator constructed outside a context manager "
-            f"(pool shutdown would rely on __del__): {offenders}")
+            "ParallelEvaluator constructed outside a context manager: "
+            f"{offenders}")
 
 
 class TestEngineStats:

@@ -1,9 +1,9 @@
 """The unified telemetry layer: tracer, metrics registry, dashboard.
 
 These tests pin the observability contracts: spans nest and record
-correct depth/attrs, disabled tracing is a true no-op, worker spans
-survive the pool fan-out without loss and merge into distinct per-pid
-lanes of a schema-valid Chrome trace, the typed :class:`EngineStats`
+correct depth/attrs, disabled tracing is a true no-op, a traced sweep
+accounts every replay in its spans and exports a schema-valid Chrome
+trace, the typed :class:`EngineStats`
 view can never drift from its backing registry (snapshot keys ==
 dataclass fields), stage spans reconcile with ``stage_seconds``,
 campaign workers persist heartbeat rows that the dashboard ages into
@@ -112,19 +112,16 @@ class TestTracer:
         assert by_name["boom"].attrs["error"] == "ValueError"
         assert by_name["after"].depth == 0
 
-    def test_drain_clears_and_absorb_merges(self):
-        worker = Tracer(enabled=True)
-        with worker.span("remote"):
+    def test_drain_returns_and_clears(self):
+        tracer = Tracer(enabled=True)
+        with tracer.span("first"):
             pass
-        shipped = worker.drain()
-        assert [r.name for r in shipped] == ["remote"]
-        assert worker.records == []
-
-        host = enable_tracing()
-        with span("local"):
+        drained = tracer.drain()
+        assert [r.name for r in drained] == ["first"]
+        assert tracer.records == []
+        with tracer.span("second"):
             pass
-        host.absorb(shipped)
-        assert sorted(r.name for r in host.records) == ["local", "remote"]
+        assert [r.name for r in tracer.drain()] == ["second"]
 
     def test_sink_streams_completed_records(self):
         seen = []
@@ -140,7 +137,7 @@ class TestTracer:
         fake = tracer.records[0].__class__(
             name="remote", ts=tracer.records[0].ts, wall=0.001, cpu=0.001,
             depth=0, pid=os.getpid() + 1, tid=1, attrs={})
-        tracer.absorb([fake])
+        tracer.records.append(fake)
         path = tmp_path / "trace.json"
         count = tracer.export_chrome(str(path))
         summary = validate_chrome_trace(str(path))
@@ -270,17 +267,15 @@ class TestEngineStatsRegistry:
         assert all(not isinstance(v, dict) for v in row.values())
 
 
-# -- cross-process tracing through the worker pool -----------------------------------------
+# -- a traced sweep end to end -------------------------------------------------------------
 
 
-class TestCrossProcessTracing:
-    def test_pool_fanout_loses_no_spans_and_leaks_nothing(
+class TestTracedSweep:
+    def test_traced_sweep_accounts_every_replay(
             self, tmp_path, base_config, fresh_arith):
-        before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
         tracer = enable_tracing()
         configs = grid_configs(base_config)
-        with ParallelEvaluator(LiquidPlatform(), workers=2,
-                               arena_threshold=0) as evaluator:
+        with ParallelEvaluator(LiquidPlatform(), workers=2) as evaluator:
             evaluator.measure_sweep(fresh_arith, configs)
             stats = evaluator.stats
         disable_tracing()
@@ -288,46 +283,18 @@ class TestCrossProcessTracing:
         by_name = {}
         for record in tracer.records:
             by_name.setdefault(record.name, []).append(record)
-        # every replayed configuration is accounted for by a replay span:
-        # a lost worker result would show up as a shortfall here
+        # every replayed configuration is accounted for by a replay span
         replayed = sum(r.attrs["configs"] for r in by_name.get("replay", []))
-        assert replayed == stats.cache_simulations
-        assert stats.parallel_simulations > 0
-        # the arena path decodes once on the host, replays in the workers
-        host = os.getpid()
-        assert {r.pid for r in by_name["decode"]} == {host}
-        worker_pids = {r.pid for r in by_name["replay"]}
-        assert host not in worker_pids and len(worker_pids) >= 1
-        assert len({r.pid for r in tracer.records}) >= 2
-        for stage in ("trace_generation", "cache_simulation", "sweep_evaluate",
-                      "arena_publish", "publish", "solve"):
+        assert replayed == stats.cache_simulations > 0
+        for stage in ("trace_generation", "cache_simulation", "decode",
+                      "replay", "sweep_evaluate", "solve"):
             assert stage in by_name, f"missing '{stage}' spans"
-
-        # worker metric deltas merged home alongside the spans
-        assert stats.registry.snapshot()["arena.publishes"] > 0
+        assert {r.pid for r in tracer.records} == {os.getpid()}
 
         path = tmp_path / "sweep.json"
         tracer.export_chrome(str(path))
         summary = validate_chrome_trace(str(path))
         assert summary["spans"] == len(tracer.records)
-        assert len(summary["pids"]) >= 2
-
-        # close() tore down the pool and every shared-memory segment
-        assert stats.arena_segments == 0
-        if os.path.isdir("/dev/shm"):
-            assert set(os.listdir("/dev/shm")) - before == set()
-
-    def test_pool_respawns_when_tracing_toggles(self, base_config, arith_small):
-        configs = grid_configs(base_config, 4)
-        with ParallelEvaluator(LiquidPlatform(), workers=2,
-                               arena_threshold=0) as evaluator:
-            evaluator.measure_sweep(arith_small, configs)
-            assert get_tracer().records == []
-            tracer = enable_tracing()
-            evaluator.measure_sweep(
-                arith_small, grid_configs(base_config, 6)[4:])
-            assert any(r.name == "replay" and r.pid != os.getpid()
-                       for r in tracer.records)
 
 
 class TestSpanTreeTiming:

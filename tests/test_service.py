@@ -2,33 +2,32 @@
 
 These tests pin the properties that make an always-on evaluation
 service sound: jobs run FIFO on one resident engine and stream
-incremental results; the supervisor survives a worker pool killed
-underneath it (capped respawns with jittered backoff, then degrade to
-inline); an identical re-submitted sweep answers from the store with
-*zero* new evaluations, bit for bit identical to the first answer and
-to a direct ``measure_sweep``; the HTTP layer round-trips all of that
-through a real socket; and a grid-backed service drains the same
-campaign queue a CLI ``--claim`` worker would.
+incremental results; the supervisor refuses evaluations outside
+start/stop and restarts cleanly; an identical re-submitted sweep
+answers from the store with *zero* new evaluations, bit for bit
+identical to the first answer and to a direct ``measure_sweep``; the
+HTTP layer round-trips all of that through a real socket; and a
+grid-backed service drains the same campaign queue a CLI ``--claim``
+worker would.
 """
 
-import gc
 import json
-import os
-import signal
 import threading
 import time
 
 import pytest
 
-from repro.engine import (
-    CampaignGrid,
-    EvaluatorSupervisor,
-    ParallelEvaluator,
-    SupervisorStopped,
-)
+from repro.engine import CampaignGrid, ParallelEvaluator
 from repro.engine.campaign import STATUS_DONE
 from repro.platform import LiquidPlatform
-from repro.service import ServiceClient, ServiceError, TuningService, make_server
+from repro.service import (
+    EvaluatorSupervisor,
+    ServiceClient,
+    ServiceError,
+    SupervisorStopped,
+    TuningService,
+    make_server,
+)
 from repro.service.jobs import JobManager
 from repro.service.server import figure2_grid
 
@@ -122,35 +121,6 @@ class TestSupervisorLifecycle:
             supervisor.stop()
         assert first.statistics.cycles == again.statistics.cycles
 
-    def test_backoff_is_jittered_and_capped_then_degrades(self):
-        class FixedRng:
-            def uniform(self, low, high):
-                return (low + high) / 2
-
-        slept = []
-        supervisor = EvaluatorSupervisor(
-            LiquidPlatform(), workers=2, max_restarts=3,
-            backoff_base=0.1, backoff_cap=0.5,
-            rng=FixedRng(), sleep=slept.append)
-        supervisor.start()
-        try:
-            for _ in range(5):
-                supervisor._on_pool_break()
-        finally:
-            supervisor.stop()
-        # three granted restarts slept a growing-but-capped backoff...
-        assert len(slept) == 3
-        assert slept[0] == pytest.approx(0.2)   # (0.1 + 0.3) / 2
-        assert slept[1] > slept[0]
-        assert all(delay <= 0.5 for delay in slept)
-        # ...then the budget ran out: degraded to inline, no more sleeps
-        assert supervisor.degraded
-        assert supervisor.evaluator.workers == 1
-        assert supervisor.restarts == 5
-        assert supervisor.stats.supervisor_restarts == 5
-        snapshot = supervisor.snapshot()
-        assert snapshot["degraded"] and not snapshot["running"]
-
     def test_request_stop_only_flags(self):
         supervisor = EvaluatorSupervisor(LiquidPlatform(), workers=1)
         supervisor.start()
@@ -159,84 +129,6 @@ class TestSupervisorLifecycle:
             assert supervisor.stop_requested and supervisor.running
         finally:
             supervisor.stop()
-
-
-class TestSurvivesPoolBreak:
-    def test_sigkilled_worker_breaks_one_batch_and_the_pool_respawns(
-            self, base_config, small_workload_map):
-        """The acceptance scenario: SIGKILL a pool worker mid-life; the
-        resident engine finishes the batch inline, counts the break, and
-        the next sweep runs on a fresh pool."""
-        workload = small_workload_map["blastn"]
-        configs = [
-            base_config.replace(dcache_sets=sets, dcache_setsize_kb=size)
-            for sets in (1, 2) for size in (1, 2, 4)
-        ]
-        supervisor = EvaluatorSupervisor(
-            LiquidPlatform(), workers=2, arena=False,
-            backoff_base=0.0, backoff_cap=0.0, sleep=lambda s: None)
-        with supervisor:
-            baseline = supervisor.measure_sweep(workload, configs[:3])
-            evaluator = supervisor.evaluator
-            assert evaluator._pool is not None
-            victim = next(iter(evaluator._pool._processes.values()))
-            os.kill(victim.pid, signal.SIGKILL)
-            # the batch that observes the corpse completes inline...
-            survivors = supervisor.measure_sweep(workload, configs[3:])
-            assert supervisor.stats.pool_breaks == 1
-            assert supervisor.restarts == 1
-            assert supervisor.stats.supervisor_restarts == 1
-            assert not supervisor.degraded
-            # ...and the next sweep with fresh work respawns a healthy pool
-            # (fresh configurations: memoised ones never touch the pool)
-            fresh = [
-                base_config.replace(dcache_sets=3, dcache_setsize_kb=size)
-                for size in (1, 2, 4)
-            ]
-            spawns_before = supervisor.stats.pool_spawns
-            again = supervisor.measure_sweep(workload, fresh)
-            assert supervisor.stats.pool_spawns == spawns_before + 1
-            assert evaluator._pool is not None
-        # bit-identical to an untouched engine, break or no break
-        with ParallelEvaluator(LiquidPlatform(), workers=1) as clean:
-            expected = clean.measure_sweep(workload, configs)
-            expected_fresh = clean.measure_sweep(workload, fresh)
-        assert [m.statistics.cycles for m in baseline + survivors] == \
-            [m.statistics.cycles for m in expected]
-        assert [m.statistics.cycles for m in again] == \
-            [m.statistics.cycles for m in expected_fresh]
-
-    def test_broken_pool_leaves_no_orphan_workers(
-            self, base_config, small_workload_map):
-        """Every worker of the broken pool is dead after the break.
-
-        The executor's own cleanup races our non-blocking shutdown: when
-        it loses, a surviving sibling parks on the call queue forever and
-        the executor's non-daemon manager thread -- joining that sibling
-        -- blocks interpreter exit.  ``_pool_failed`` therefore kills the
-        siblings itself; a resident server must *exit* after it says it
-        stopped.
-        """
-        workload = small_workload_map["blastn"]
-        configs = [
-            base_config.replace(dcache_sets=sets, dcache_setsize_kb=size)
-            for sets in (1, 2) for size in (1, 2)
-        ]
-        with ParallelEvaluator(LiquidPlatform(), workers=2,
-                               arena=False) as evaluator:
-            evaluator.measure_sweep(workload, configs)
-            workers = list(evaluator._pool._processes.values())
-            assert len(workers) == 2
-            os.kill(workers[0].pid, signal.SIGKILL)
-            # the batch that trips over the corpse triggers _pool_failed
-            evaluator.measure_sweep(
-                workload, [base_config.replace(icache_sets=2)])
-            assert evaluator.stats.pool_breaks == 1
-            deadline = time.monotonic() + 10.0
-            while (any(w.is_alive() for w in workers)
-                   and time.monotonic() < deadline):
-                time.sleep(0.05)
-            assert [w.is_alive() for w in workers] == [False, False]
 
 
 class TestServiceJobs:

@@ -171,12 +171,11 @@ def test_platform_sweep_property_identical(arith_small, configs):
     assert sweep == scalar
 
 
-@pytest.mark.parametrize("workers,arena", [(1, False), (2, False), (2, True)])
-def test_engine_sweep_identical(small_workload_map, base_config, workers, arena):
+def test_engine_sweep_identical(small_workload_map, base_config):
     configs = sweep_grid(base_config)
     for workload in small_workload_map.values():
         reference = LiquidPlatform().measure_many(workload, configs)
-        with ParallelEvaluator(LiquidPlatform(), workers=workers, arena=arena) as engine:
+        with ParallelEvaluator(LiquidPlatform(), workers=2) as engine:
             assert engine.measure_sweep(workload, configs) == reference
             assert engine.stats.sweep_batches == 1
             assert engine.stats.sweep_evaluations == len(set(
