@@ -9,7 +9,9 @@ The measurement layer runs through the evaluation engine, which
 deduplicates requests and replays cache simulations in-process in
 shared-decode groups: pass ``--store PATH`` to persist measurements
 (JSON-lines, or SQLite when the path ends in ``.sqlite``/``.db``;
-either makes a full reproduction resumable and shareable across runs),
+either makes a full reproduction resumable and shareable across runs,
+and SQLite also caches the execution traces so a warm run does not
+re-run the functional simulator),
 ``--profile`` to print per-stage wall-clock, ``--phases`` to add the
 phase-transition study (cold-start vs warm-chained per-phase miss rates
 of the multi-phase scenarios), or ``--sequential`` to fall back to the
@@ -86,7 +88,9 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument(
         "--store", metavar="PATH", default=None,
         help="persistent result store; measurements found there are not re-simulated "
-             "(JSON-lines by default, SQLite when PATH ends in .sqlite/.db)")
+             "(JSON-lines by default, SQLite when PATH ends in .sqlite/.db; a SQLite "
+             "store also caches execution traces, so a warm run skips the functional "
+             "simulator, a JSON-lines store does not)")
     parser.add_argument(
         "--sequential", action="store_true",
         help="bypass the engine and evaluate through the bare LiquidPlatform")

@@ -117,6 +117,13 @@ class EngineStats:
     store_hits: int = 0
     #: Measurements appended to the persistent result store.
     store_writes: int = 0
+    #: Execution traces adopted from the store's trace cache, traces
+    #: simulated and written to it, and cached entries refused because
+    #: the fingerprint recomputed from their columns did not match (each
+    #: refused entry is regenerated and overwritten).
+    trace_cache_hits: int = 0
+    trace_cache_writes: int = 0
+    trace_cache_rejects: int = 0
     #: Distinct cache simulations executed on behalf of the batches.
     cache_simulations: int = 0
     #: Shared-decode groups -- distinct ``(trace, kind, linesize)`` decodes --
@@ -228,7 +235,9 @@ class EngineStats:
         return (
             f"engine: {self.requested} requests, {self.dedup_hits} dedup hits, "
             f"{self.store_hits} store hits, {self.cache_simulations} cache sims "
-            f"in {self.cache_groups} decode groups, {self.wall_seconds:.2f}s"
+            f"in {self.cache_groups} decode groups, traces {self.trace_cache_hits} "
+            f"cached/{self.trace_cache_writes} written/{self.trace_cache_rejects} "
+            f"rejected, {self.wall_seconds:.2f}s"
         )
 
 

@@ -7,7 +7,9 @@ synthesis and the timing model are vectorised/analytic and cheap.  The
 1. collapse duplicate configurations (first-appearance order preserved);
 2. answer what it can from the persistent
    :class:`~repro.engine.store.ResultStore` and the wrapped platform's
-   in-process memo stores;
+   in-process memo stores (a SQLite store also hands back the execution
+   traces it cached, so a warm batch does not re-run the functional
+   simulator);
 3. compute the set of *distinct missing cache simulations* across every
    workload in the batch and group them by their shared decode -- every
    group shares one ``(trace fingerprint, kind, linesize)`` key, so the
@@ -110,12 +112,13 @@ class ParallelEvaluator:
 
         The span and the accumulated stage share one clock read, so the
         span tree of a traced run reconciles with ``stats.stage_seconds``
-        exactly (a property the observability tests assert).
+        exactly (a property the observability tests assert).  Yields the
+        span, so a stage can attach attributes it learns while running.
         """
-        with span(name, **attrs):
+        with span(name, **attrs) as active:
             start = time.perf_counter()
             try:
-                yield
+                yield active
             finally:
                 self.stats.add_stage(name, time.perf_counter() - start)
 
@@ -175,9 +178,8 @@ class ParallelEvaluator:
 
         # materialise every workload's trace up front so trace generation is
         # accounted as its own stage instead of leaking into cache planning
-        with self._stage("trace_generation", workloads=len(batches)):
-            for workload in batches:
-                workload.trace()
+        with self._stage("trace_generation", workloads=len(batches)) as stage:
+            stage.set(cached=sum(self._materialise(workload) for workload in batches))
 
         plan: List[Tuple[Workload, List[Configuration],
                          Dict[Configuration, Measurement]]] = []
@@ -257,8 +259,8 @@ class ParallelEvaluator:
         start = time.perf_counter()
         self.stats.batches += 1
 
-        with self._stage("trace_generation"):
-            workload.trace()
+        with self._stage("trace_generation") as stage:
+            stage.set(cached=int(self._materialise(workload)))
 
         missing, ready = self._plan_workload_batch(workload, configs)
 
@@ -338,6 +340,35 @@ class ParallelEvaluator:
             self.platform.install_phase_run(job, result)
 
     # -- internals -------------------------------------------------------------------------
+
+    def _materialise(self, workload: Workload) -> bool:
+        """Make ``workload``'s trace resident; ``True`` when the store supplied it.
+
+        A resident trace is left alone.  Otherwise the store's trace cache
+        is consulted under :meth:`Workload.trace_key
+        <repro.workloads.base.Workload.trace_key>`; an entry the workload
+        accepts (its fingerprint recheck passes) is adopted, and anything
+        else -- a miss, a rejected entry, an uncacheable workload --
+        simulates the trace and writes it back, overwriting a rejected
+        entry.
+        """
+        if workload.has_trace():
+            return False
+        key = workload.trace_key() if self.store is not None else None
+        if key is None:
+            workload.trace()
+            return False
+        cached = self.store.get_trace(key)
+        if cached is not None:
+            trace, fingerprint = cached
+            if trace is not None and workload.adopt_trace(trace, fingerprint):
+                self.stats.trace_cache_hits += 1
+                return True
+            self.stats.trace_cache_rejects += 1
+        if self.store.put_trace(key, workload.trace(), workload.fingerprint(),
+                                replace=cached is not None):
+            self.stats.trace_cache_writes += 1
+        return False
 
     def _from_store(self, workload: Workload, config: Configuration) -> Optional[Measurement]:
         if self.store is None:

@@ -13,6 +13,16 @@ greppable, safely shareable via append) and :class:`SqliteResultStore`
 (indexed lookups without loading the whole file, suited to large
 campaign archives).  :func:`open_store` picks by file extension.
 
+The SQLite backend also caches execution traces.  Its ``traces`` table
+maps :meth:`Workload.trace_key <repro.workloads.base.Workload.trace_key>`
+-- a digest of the simulator's inputs and version -- to the trace's
+fingerprint and its columns in one BLOB, so a warm run loads each trace
+instead of re-running the functional simulator to learn its key.  An
+entry is adopted only if the fingerprint recomputed from the loaded
+columns matches the stored one; a rejected entry is regenerated and
+overwritten.  On the JSON-lines backend the trace lookup always misses
+and the write does nothing.
+
 Two details keep lookups sound:
 
 * The *workload fingerprint* hashes the workload's execution trace, not
@@ -45,6 +55,7 @@ from repro.fpga.report import ResourceReport
 from repro.microarch.cache import CacheStatistics
 from repro.microarch.statistics import ExecutionStatistics
 from repro.microarch.timing import TimingParameters
+from repro.microarch.trace import ExecutionTrace
 from repro.obs.metrics import get_registry
 from repro.platform.measurement import Measurement
 from repro.workloads.base import Workload
@@ -63,6 +74,14 @@ __all__ = [
 
 #: File extensions that select the SQLite backend in :func:`open_store`.
 SQLITE_EXTENSIONS = (".sqlite", ".sqlite3", ".db")
+
+#: Per-instruction columns of a cached trace BLOB, in storage order (the
+#: four-byte columns first, so each column starts aligned).  The
+#: variable-length ``window_events`` column (``int8``) follows them.
+_TRACE_COLUMNS = tuple((name, np.dtype(stored)) for name, stored in (
+    ("pcs", "<u4"), ("mem_addrs", "<u4"), ("op_classes", "u1"),
+    ("load_use_hazard", "?"), ("cc_branch_hazard", "?")))
+_TRACE_ROW_BYTES = sum(stored.itemsize for _, stored in _TRACE_COLUMNS)
 
 _T = TypeVar("_T")
 
@@ -184,6 +203,32 @@ def _jsonable(value: Any) -> Any:
     raise TypeError(f"not JSON serialisable: {value!r}")
 
 
+def _trace_blob(trace: ExecutionTrace) -> bytes:
+    """Every column of ``trace`` in one little-endian BLOB."""
+    columns = [np.ascontiguousarray(getattr(trace, name), dtype=stored)
+               for name, stored in _TRACE_COLUMNS]
+    columns.append(np.ascontiguousarray(trace.window_events, dtype=np.int8))
+    return b"".join(column.tobytes() for column in columns)
+
+
+def _trace_from_blob(
+    blob: bytes, name: str, instructions: int, window_events: int
+) -> Optional[ExecutionTrace]:
+    """Read-only trace over ``blob``; ``None`` if its size disagrees with the lengths."""
+    if len(blob) != instructions * _TRACE_ROW_BYTES + window_events:
+        return None
+    columns: Dict[str, np.ndarray] = {}
+    offset = 0
+    for column, stored in _TRACE_COLUMNS:
+        columns[column] = np.frombuffer(
+            blob, dtype=stored, count=instructions, offset=offset,
+        ).astype(stored.newbyteorder("="), copy=False)
+        offset += instructions * stored.itemsize
+    columns["window_events"] = np.frombuffer(
+        blob, dtype=np.int8, count=window_events, offset=offset)
+    return ExecutionTrace(name=name, **columns)
+
+
 def _cache_stats_dict(stats: Optional[CacheStatistics]) -> Optional[Dict[str, int]]:
     if stats is None:
         return None
@@ -236,6 +281,28 @@ class ResultStoreBase:
 
     def _context_changed(self) -> None:
         """Backend hook: the context filter changed after construction."""
+
+    # -- trace cache ---------------------------------------------------------------------
+
+    def get_trace(self, key: str) -> Optional[Tuple[Optional[ExecutionTrace], str]]:
+        """The cached trace under ``key`` and its stored fingerprint.
+
+        ``None`` when nothing is cached under ``key``; the trace half is
+        ``None`` when the entry exists but its columns cannot be read
+        back (a truncated BLOB).  This backend caches no traces.
+        """
+        return None
+
+    def put_trace(
+        self, key: str, trace: ExecutionTrace, fingerprint: str, *, replace: bool = False
+    ) -> bool:
+        """Cache ``trace`` under ``key``; ``False`` when nothing was written.
+
+        ``replace`` overwrites an existing entry (one that was rejected on
+        load); otherwise an existing entry wins.  This backend caches no
+        traces.
+        """
+        return False
 
     # -- measurement (de)serialisation ---------------------------------------------------
 
@@ -420,6 +487,14 @@ class SqliteResultStore(ResultStoreBase):
             " config_key TEXT NOT NULL,"
             " record TEXT NOT NULL,"
             " PRIMARY KEY (context, fingerprint, config_key))")
+        self._conn.execute(
+            "CREATE TABLE IF NOT EXISTS traces ("
+            " key TEXT PRIMARY KEY,"
+            " fingerprint TEXT NOT NULL,"
+            " name TEXT NOT NULL,"
+            " instructions INTEGER NOT NULL,"
+            " window_events INTEGER NOT NULL,"
+            " columns BLOB NOT NULL)")
         self._conn.commit()
 
     # a context change needs no hook: every query filters on the live context
@@ -469,6 +544,34 @@ class SqliteResultStore(ResultStoreBase):
         if row is None:
             return None
         return self._measurement_from(json.loads(row[0]), config)
+
+    def get_trace(self, key: str) -> Optional[Tuple[Optional[ExecutionTrace], str]]:
+        """The cached trace under ``key`` and its stored fingerprint (see base class)."""
+        row = self._conn.execute(
+            "SELECT fingerprint, name, instructions, window_events, columns"
+            " FROM traces WHERE key = ?", (key,)).fetchone()
+        if row is None:
+            return None
+        fingerprint, name, instructions, window_events, blob = row
+        return _trace_from_blob(blob, name, instructions, window_events), fingerprint
+
+    def put_trace(
+        self, key: str, trace: ExecutionTrace, fingerprint: str, *, replace: bool = False
+    ) -> bool:
+        """Cache ``trace`` under ``key`` (see base class)."""
+        row = (key, fingerprint, trace.name, len(trace), len(trace.window_events),
+               _trace_blob(trace))
+        verb = "REPLACE" if replace else "IGNORE"
+
+        def write() -> bool:
+            cursor = self._conn.execute(
+                f"INSERT OR {verb} INTO traces"
+                " (key, fingerprint, name, instructions, window_events, columns)"
+                " VALUES (?, ?, ?, ?, ?, ?)", row)
+            self._conn.commit()
+            return cursor.rowcount > 0
+
+        return busy_retry(write)
 
 
 def open_store(path: Optional[str], **kwargs: Any) -> ResultStoreBase:

@@ -25,7 +25,16 @@ from repro.isa.registers import RegisterFile, register_number
 from repro.microarch.memory import Memory
 from repro.microarch.trace import ExecutionTrace, TraceBuilder
 
-__all__ = ["FunctionalSimulator", "SimulationResult"]
+__all__ = ["FunctionalSimulator", "SimulationResult", "TRACE_VERSION"]
+
+#: Version stamp of the traces this simulator and
+#: :class:`~repro.microarch.trace.TraceBuilder` produce.  Cached traces
+#: are keyed by it (:meth:`Workload.trace_key
+#: <repro.workloads.base.Workload.trace_key>`): bump it whenever a change
+#: to either can move a trace, so no cache serves a trace of the old
+#: simulator.  ``tests/golden/trace_golden.json`` pins the traces recorded
+#: under the current stamp.
+TRACE_VERSION = 1
 
 _MASK32 = 0xFFFFFFFF
 

@@ -15,6 +15,7 @@ its cycle terms with vectorised reductions.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -260,37 +261,43 @@ def slice_trace(trace: ExecutionTrace, start: int, stop: int, name: str) -> Exec
 
 
 class TraceBuilder:
-    """Accumulates per-instruction records and produces an :class:`ExecutionTrace`."""
+    """Accumulates per-instruction records and produces an :class:`ExecutionTrace`.
+
+    Records go straight into typed columns (``array``/``bytearray``: four
+    or one byte per entry) rather than Python lists of int objects, so a
+    long run holds a few bytes per instruction and :meth:`build` wraps
+    the columns without a conversion pass.
+    """
 
     def __init__(self, name: str = "trace"):
         self.name = name
-        self._pcs: list[int] = []
-        self._op_classes: list[int] = []
-        self._mem_addrs: list[int] = []
-        self._load_use: list[bool] = []
-        self._cc_hazard: list[bool] = []
-        self._window_events: list[int] = []
+        self._pcs = array("I")
+        self._op_classes = array("B")
+        self._mem_addrs = array("I")
+        self._load_use = bytearray()
+        self._cc_hazard = bytearray()
+        self._window_events = array("b")
 
     def append(self, pc: int, op_class: OpClass, mem_addr: int = 0) -> int:
         """Record one executed instruction; returns its trace index."""
         self._pcs.append(pc)
-        self._op_classes.append(int(op_class))
+        self._op_classes.append(op_class)
         self._mem_addrs.append(mem_addr)
-        self._load_use.append(False)
-        self._cc_hazard.append(False)
+        self._load_use.append(0)
+        self._cc_hazard.append(0)
         return len(self._pcs) - 1
 
     def mark_load_use(self, index: int) -> None:
         """Mark the load at ``index`` as having a load-use dependency."""
-        self._load_use[index] = True
+        self._load_use[index] = 1
 
     def mark_cc_hazard(self, index: int) -> None:
         """Mark the branch at ``index`` as depending on the immediately preceding CC update."""
-        self._cc_hazard[index] = True
+        self._cc_hazard[index] = 1
 
     def set_op_class(self, index: int, op_class: OpClass) -> None:
         """Reclassify an instruction (used to mark taken branches)."""
-        self._op_classes[index] = int(op_class)
+        self._op_classes[index] = op_class
 
     def window_event(self, delta: int) -> None:
         """Record a register-window push (+1) or pop (-1)."""
@@ -300,13 +307,17 @@ class TraceBuilder:
         return len(self._pcs)
 
     def build(self) -> ExecutionTrace:
-        """Freeze the accumulated records into an immutable trace."""
+        """Freeze the accumulated records into an immutable trace.
+
+        The arrays are views over the builder's columns (no copy); the
+        builder must not be appended to afterwards.
+        """
         return ExecutionTrace(
-            pcs=np.asarray(self._pcs, dtype=np.uint32),
-            op_classes=np.asarray(self._op_classes, dtype=np.uint8),
-            mem_addrs=np.asarray(self._mem_addrs, dtype=np.uint32),
-            load_use_hazard=np.asarray(self._load_use, dtype=bool),
-            cc_branch_hazard=np.asarray(self._cc_hazard, dtype=bool),
-            window_events=np.asarray(self._window_events, dtype=np.int8),
+            pcs=np.frombuffer(self._pcs, dtype=np.uint32),
+            op_classes=np.frombuffer(self._op_classes, dtype=np.uint8),
+            mem_addrs=np.frombuffer(self._mem_addrs, dtype=np.uint32),
+            load_use_hazard=np.frombuffer(self._load_use, dtype=bool),
+            cc_branch_hazard=np.frombuffer(self._cc_hazard, dtype=bool),
+            window_events=np.frombuffer(self._window_events, dtype=np.int8),
             name=self.name,
         )

@@ -10,7 +10,10 @@ The functional execution of a workload is configuration independent, so
 the resulting :class:`~repro.microarch.trace.ExecutionTrace` is cached on
 the workload instance and shared by every configuration evaluation -- this
 is what makes the measurement campaign cheap enough to run hundreds of
-configuration evaluations.
+configuration evaluations.  :meth:`Workload.trace_key` names a trace by
+its *inputs* (program image, data image, instruction budget, simulator
+version), so a persistent store can hand a trace back to a later process
+(:meth:`Workload.adopt_trace`) without re-running the simulator.
 """
 
 from __future__ import annotations
@@ -23,10 +26,21 @@ import numpy as np
 
 from repro.errors import VerificationError
 from repro.isa.program import Program
+from repro.microarch import functional
 from repro.microarch.functional import FunctionalSimulator, SimulationResult
 from repro.microarch.trace import ExecutionTrace
 
 __all__ = ["Workload"]
+
+
+def _trace_fingerprint(name: str, trace: ExecutionTrace) -> str:
+    """Content digest of ``trace`` as :meth:`Workload.fingerprint` reports it."""
+    digest = hashlib.sha1()
+    for array in (trace.pcs, trace.op_classes, trace.mem_addrs,
+                  trace.load_use_hazard, trace.cc_branch_hazard,
+                  trace.window_events):
+        digest.update(np.ascontiguousarray(array))
+    return f"{name}:{trace.instruction_count}:{digest.hexdigest()[:16]}"
 
 
 class Workload(ABC):
@@ -43,7 +57,11 @@ class Workload(ABC):
         self.max_instructions = max_instructions
         self._program: Optional[Program] = None
         self._result: Optional[SimulationResult] = None
+        self._trace: Optional[ExecutionTrace] = None
         self._fingerprint: Optional[str] = None
+        #: Fingerprint of a trace installed by :meth:`adopt_trace` (``None``
+        #: once the resident trace comes from this process's own simulation).
+        self._adopted: Optional[str] = None
 
     # -- to be provided by concrete workloads -----------------------------------------
 
@@ -69,15 +87,66 @@ class Workload(ABC):
         return self._program
 
     def run_functional(self, *, force: bool = False) -> SimulationResult:
-        """Execute the workload functionally (cached across calls)."""
+        """Execute the workload functionally (cached across calls).
+
+        An adopted trace carries no architectural state, so the first call
+        after :meth:`adopt_trace` simulates and replaces it with the fresh
+        trace (the fingerprint is then recomputed from the fresh columns).
+        """
         if self._result is None or force:
             simulator = FunctionalSimulator(self.program, max_instructions=self.max_instructions)
             self._result = simulator.run(trace_name=self.name)
+            self._trace = self._result.trace
+            if self._adopted is not None:
+                self._adopted = None
+                self._fingerprint = None
         return self._result
 
     def trace(self) -> ExecutionTrace:
         """The configuration-independent execution trace of this workload."""
-        return self.run_functional().trace
+        if self._trace is None:
+            self.run_functional()
+        return self._trace
+
+    def has_trace(self) -> bool:
+        """True when :meth:`trace` is answered without simulating."""
+        return self._trace is not None
+
+    def trace_key(self) -> Optional[str]:
+        """Digest of everything this workload's trace depends on.
+
+        Covers :data:`~repro.microarch.functional.TRACE_VERSION`, the
+        name (the trace and its fingerprint carry it), the instruction
+        budget, the memory layout, the entry point, the instruction
+        stream and the initial data image -- the simulator's complete
+        input.  Two workloads with equal keys produce identical traces,
+        so a trace cache keyed by it never needs to run the simulator to
+        find its entry.  ``None`` means "not cacheable".
+        """
+        program = self.program
+        digest = hashlib.sha1()
+        for part in (functional.TRACE_VERSION, self.name, self.max_instructions,
+                     program.layout, program.entry_point, program.instructions):
+            digest.update(repr(part).encode())
+            digest.update(b"\0")
+        digest.update(program.data)
+        return digest.hexdigest()
+
+    def adopt_trace(self, trace: ExecutionTrace, fingerprint: str) -> bool:
+        """Install a cached trace instead of simulating; ``False`` rejects it.
+
+        The fingerprint is recomputed from the loaded columns, so a
+        truncated or corrupted cache entry is refused and the workload is
+        left untouched.  :meth:`verify` re-runs the simulator for an
+        adopted trace and fails if the fresh trace differs.
+        """
+        if _trace_fingerprint(self.name, trace) != fingerprint:
+            return False
+        self._trace = trace
+        self._result = None
+        self._fingerprint = fingerprint
+        self._adopted = fingerprint
+        return True
 
     def columnar_view(self, kind: str, linesize_bytes: int):
         """Cached columnar cache-kernel view of this workload's trace.
@@ -110,14 +179,7 @@ class Workload(ABC):
         alias each other's results.
         """
         if self._fingerprint is None:
-            trace = self.trace()
-            digest = hashlib.sha1()
-            for array in (trace.pcs, trace.op_classes, trace.mem_addrs,
-                          trace.load_use_hazard, trace.cc_branch_hazard,
-                          trace.window_events):
-                digest.update(np.ascontiguousarray(array).tobytes())
-            self._fingerprint = (
-                f"{self.name}:{trace.instruction_count}:{digest.hexdigest()[:16]}")
+            self._fingerprint = _trace_fingerprint(self.name, self.trace())
         return self._fingerprint
 
     # -- verification ------------------------------------------------------------------------
@@ -127,8 +189,18 @@ class Workload(ABC):
 
         Returns the extracted results on success and raises
         :class:`~repro.errors.VerificationError` on the first mismatch.
+        A trace adopted from a cache is checked too: the simulator runs
+        afresh, the fresh result replaces the adopted trace, and a fresh
+        fingerprint that differs from the adopted one is an error (a
+        stale or poisoned cache entry).
         """
-        result = result or self.run_functional()
+        if result is None:
+            adopted = self._adopted
+            result = self.run_functional()
+            if adopted is not None and self.fingerprint() != adopted:
+                raise VerificationError(
+                    f"{self.name}: cached trace {adopted} differs from the fresh "
+                    f"simulation {self.fingerprint()}")
         expected = dict(self.reference())
         actual = dict(self.extract_results(result))
         for key, value in expected.items():

@@ -288,6 +288,10 @@ class PhasedWorkload(Workload):
             self._fingerprint = f"{base}:ph{structure.hexdigest()[:8]}"
         return self._fingerprint
 
+    def trace_key(self) -> Optional[str]:
+        """Phased traces are assembled from other workloads and never cached."""
+        return None
+
     # -- Workload interface -----------------------------------------------------------------
 
     def build_program(self):

@@ -15,8 +15,9 @@ suites below drive the shared randomized geometries/traces from
 * :func:`~repro.microarch.cachekernel.simulate_many` under every lane
   selection, including the ``REPRO_KERNEL_LANE`` environment knob.
 
-One known cross-config defect on long LRU traces is pinned by a strict
-``xfail`` below until it is fixed.
+The known cross-config LRU batching defect is pinned by strict
+``xfail`` tests below until it is fixed: its effect on the statistics of
+a long trace, and its minimal form (a wrong final state).
 """
 
 from unittest import mock
@@ -287,3 +288,32 @@ def test_crossconfig_lru_pair_matches_per_config_replay():
              for config in configs]
     assert simulate_many(view, configs, lane=LANE_NUMPY) == alone
     assert simulate_many(view, configs, lane=LANE_CROSSCONFIG) == alone
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: the cross-config lane leaves a wrong final LRU state "
+    "when two identical LRU geometries share one merged batch"))
+def test_crossconfig_identical_lru_pair_final_state_matches_oracle():
+    """The minimal form of the LRU batching defect.
+
+    Two identical 2-way x 1 KB LRU caches with 16-byte lines replay the
+    reads of word addresses 0, 4, ..., 60, 256.  Their statistics match
+    the scalar oracle, but the merged replay leaves set 0 holding tags
+    ``[1, -1]`` where the oracle holds ``[0, 1]``; one configuration
+    replayed alone matches.  Hypothesis draws this shape from time to
+    time in :func:`test_crossconfig_batch_matches_scalar_oracle`.
+    """
+    config = CacheConfig(ways=2, setsize_kb=1, linesize_words=4,
+                         replacement=Replacement.LRU)
+    addresses, writes = to_arrays([(word, False) for word in [*range(0, 61, 4), 256]])
+    view = decode_trace(addresses, writes, linesize_bytes=config.linesize_bytes)
+    ref_stats, ref_cache = scalar_oracle(config, addresses, writes)
+
+    (alone,), (alone_state,) = replay_many_associative(view, [config])
+    assert alone == ref_stats
+    assert_state_matches_oracle(alone_state, ref_cache)
+
+    stats, states = replay_many_associative(view, [config, config])
+    for stat, state in zip(stats, states):
+        assert stat == ref_stats
+        assert_state_matches_oracle(state, ref_cache)
